@@ -30,7 +30,6 @@ from .errors import (
     KeyMismatch,
     PolymonError,
     RadiusTooSmall,
-    SolverBoundError,
     TooFewGenerators,
     UnknownLetter,
     ZeroArgument,
@@ -80,7 +79,7 @@ __all__ = [
     "letter_name", "make_alphabet", "one", "render_word", "zero",
     "PolymonError", "TooFewGenerators", "AlphabetMismatch", "UnknownLetter",
     "ZeroHasNoDownset", "ZeroArgument", "KeyMismatch", "InfiniteAlphabet",
-    "EqualPair", "ZeroTarget", "RadiusTooSmall", "SolverBoundError",
+    "EqualPair", "ZeroTarget", "RadiusTooSmall",
     "ExpressionSyntaxError",
     "Ball", "RClassKey", "act", "ball", "ball_cardinality", "cayley_dot",
     "in_subsemigroup", "rclass_key", "rclass_witness", "solve_axb",

@@ -1,7 +1,7 @@
 """polymon command line: evaluate expressions and expose every operation.
 
 Exit status: 0 success (including a collapse search that finds nothing),
-1 domain error, 2 syntax/usage error.
+1 domain error or unwritable output file, 2 syntax/usage error.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (PolymonError, ValueError) as err:
+    except (PolymonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -51,15 +51,6 @@ class RadiusTooSmall(PolymonError):
     """Ball radius too small to meet the class being counted."""
 
 
-class SolverBoundError(PolymonError):
-    """A solution appeared in the sentinel band above the solver bound.
-
-    This never fires unless the bound argument for the solver is wrong;
-    it exists so a bound violation surfaces loudly instead of silently
-    truncating the solution set.
-    """
-
-
 class ExpressionSyntaxError(PolymonError):
     """Malformed expression text; carries the 0-based offset."""
 

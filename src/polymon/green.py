@@ -2,8 +2,10 @@
 
 A nonzero element u'v lies in the R-class determined entirely by u; Zero
 is alone in its class.  ``solve_axb`` returns the exact finite solution
-set of a*x*b = c by bounded enumeration, and ``act`` realizes elements
-as partial maps on positive words (stack top at the right end).
+set of a*x*b = c in closed form, by prefix and suffix checks on the
+normal forms (the test suite checks it against a bounded enumeration),
+and ``act`` realizes elements as partial maps on positive words (stack
+top at the right end).
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from .core import (
     Element,
     Word,
     elements_of_size,
+    enumeration_key,
     letter_name,
-    one,
     zero,
 )
 from .errors import (
     AlphabetMismatch,
     InfiniteAlphabet,
     KeyMismatch,
-    SolverBoundError,
     UnknownLetter,
     ZeroArgument,
 )
@@ -103,31 +104,43 @@ def ball(alphabet: Alphabet, n: int) -> Ball:
     return Ball(alphabet, n, tuple(members))
 
 
+def _solve_left(a: Element, c: Element) -> Iterator[Element]:
+    """Every y with a*y = c, for nonzero a = (u_a, v_a) and c = (u_c, v_c).
+
+    Read off the closed form of ``*``: either y = (p, q) with p a suffix
+    of v_a, so v_a = w + p, u_c = u_a and v_c = w + q, one y per split of
+    v_a whose head w is a prefix of v_c; or v_a is a proper suffix of p,
+    p = s + v_a with s non-empty, and then c = (s + u_a, q).  At most
+    |v_a| + 2 solutions, using only letters of a and c.
+    """
+    ua, va, uc, vc = a.u, a.v, c.u, c.v
+    if uc == ua:
+        for k in range(len(va) + 1):
+            if vc[:k] != va[:k]:
+                break
+            yield Element(a.alphabet, va[k:], vc[k:])
+    cut = len(uc) - len(ua)
+    if cut > 0 and uc[cut:] == ua:
+        yield Element(a.alphabet, uc[:cut] + va, vc)
+
+
 def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
     """Exact solution set {x != 0 : a*x*b = c}, in enumeration order.
 
-    Candidates are enumerated up to |x| <= B with B = |a| + |b| + |c| and
-    filtered by direct multiplication.  A solution can only use letters
-    occurring in a, b, c (cancellation matches equal letters and anything
-    left over must land in c), so enumeration is restricted to those.
-    The band B < |x| <= B + 2 is also swept and must come back empty;
-    SolverBoundError means the bound itself is wrong.
+    Closed form in two one-sided solves: every y with a*y = c, then every
+    x with x*b = y, found as the inverses of the x' with b'*x' = y'.  A
+    nonzero c forces y = x*b, so distinct y give disjoint sets of x, and
+    there are at most (|v_a| + 2) * (|u_b| + 2) solutions, each using
+    only letters of a, b and c.
     """
     for e in (a, b, c):
         if e.is_zero:
             raise ZeroArgument("solver needs nonzero a, b, c; the solution set at c = 0 is infinite")
     if not (a.alphabet == b.alphabet == c.alphabet):
         raise AlphabetMismatch("solver arguments over different alphabets")
-    letters = sorted(a.letters() | b.letters() | c.letters())
-    bound = a.size + b.size + c.size
-    solutions: List[Element] = []
-    for total in range(bound + 3):
-        for x in elements_of_size(a.alphabet, letters, total):
-            if (a * x) * b == c:
-                if total > bound:
-                    raise SolverBoundError(f"solution {x} of size {total} above bound {bound}")
-                solutions.append(x)
-    return solutions
+    b_inv = b.inverse()
+    solutions = [x.inverse() for y in _solve_left(a, c) for x in _solve_left(b_inv, y.inverse())]
+    return sorted(solutions, key=enumeration_key)
 
 
 def in_subsemigroup(x: Element, letters: Iterable[int]) -> bool:

@@ -232,8 +232,10 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     then symmetry.  Queue and pool order are fixed, so the derivation
     found for given inputs is reproducible.  Diagonal pairs are pruned:
     every move sends (x, x) to another diagonal pair, which can never
-    become (0, 1).
+    become (0, 1).  A negative max_depth raises ValueError.
     """
+    if max_depth < 0:
+        raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a == b:

@@ -8,7 +8,8 @@ check here is exact and finite.
 In this model each one-sided translation x -> a*x and x -> x*a is
 continuous: ``shrink_neighborhood`` produces, for a target neighborhood
 U of Zero, a smaller V whose image under both translations stays in U,
-using the finite equation solver to know exactly which points to drop.
+using the closed-form equation solver to know exactly which points to
+drop.
 Multiplication as a function of two variables is not continuous at
 (0, 0): ``joint_discontinuity_family`` returns arbitrarily deep pairs of
 factors, both marching to Zero, whose products all equal a fixed nonzero
@@ -69,6 +70,10 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
 def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
     """V such that a*x and x*a land in the given neighborhood for every
     x in V: drop every solution of a*x = f or x*a = f with f excluded.
+
+    Each excluded f adds at most |a| + 2 solutions per side, found by the
+    closed-form solver in O(|a|) splits, so the shrink costs
+    O(|excluded| * |a|) and the result stays that small.
 
     For a = Zero both translations are constantly Zero, so the input
     neighborhood already certifies itself and is returned unchanged.

@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from polymon import Alphabet, Element, zero
+from polymon.core import elements_of_size
 
 
 def words_st(lam: int, max_len: int = 4):
@@ -27,3 +28,24 @@ def random_element(rng: random.Random, ab: Alphabet, lam: int, max_len: int = 4,
     u = tuple(rng.randrange(lam) for _ in range(rng.randint(0, max_len)))
     v = tuple(rng.randrange(lam) for _ in range(rng.randint(0, max_len)))
     return Element(ab, u, v)
+
+
+def solve_axb_enumerate(a: Element, b: Element, c: Element) -> list:
+    """Brute-force oracle for ``solve_axb``: every nonzero x with
+    a*x*b = c, in enumeration order, found by direct multiplication.
+
+    Candidates use only letters of a, b, c (cancellation matches equal
+    letters, and anything left over must land in c) and have size at
+    most B = |a| + |b| + |c|.  The band B < |x| <= B + 2 is swept too and
+    must come back empty, so a wrong bound fails loudly instead of
+    silently truncating the answer.
+    """
+    letters = sorted(a.letters() | b.letters() | c.letters())
+    bound = a.size + b.size + c.size
+    solutions = []
+    for total in range(bound + 3):
+        for x in elements_of_size(a.alphabet, letters, total):
+            if (a * x) * b == c:
+                assert total <= bound, f"solution {x} of size {total} above bound {bound}"
+                solutions.append(x)
+    return solutions

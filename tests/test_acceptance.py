@@ -123,15 +123,14 @@ def test_05_solver(report):
     systems = 0
     for left in b2:
         for target in b2:
-            got = solve_axb(left, unit, target)  # sentinel band checked inside
+            got = solve_axb(left, unit, target)
             brute = [x for x in b6 if (left * x) * unit == target]
             if got != brute:
                 ok = False
             systems += 1
     report(
         ok,
-        f"solver: canonical fixture plus brute-force agreement on {systems} systems "
-        "with empty sentinel bands",
+        f"solver: canonical fixture plus brute-force agreement on {systems} systems",
     )
 
 

@@ -237,6 +237,12 @@ def test_collapse_equal_seed_exits_1(capsys):
     assert code == 1 and "error" in err
 
 
+def test_collapse_negative_depth_exits_1(capsys):
+    code, out, err = run(capsys, "collapse", "a", "b", "--depth", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_export_dot(tmp_path, capsys):
     target = tmp_path / "ball.dot"
     code, out, _ = run(capsys, "export-dot", "1", str(target))
@@ -251,6 +257,14 @@ def test_export_dot_json(tmp_path, capsys):
     code, out, _ = run(capsys, "export-dot", "0", str(target), "--format", "json")
     assert code == 0
     assert json.loads(out) == {"file": str(target), "nodes": 4, "edges": 4}
+
+
+def test_export_dot_unwritable_path_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "export-dot", "1", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_repl(monkeypatch, capsys):

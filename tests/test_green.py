@@ -1,16 +1,18 @@
-"""R-classes, the bounded solver, balls, the stack action, subsemigroups."""
+"""R-classes, the solver and its oracle, balls, the stack action, subsemigroups."""
 
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polymon import (
     Alphabet,
     AlphabetMismatch,
     Ball,
+    Element,
     InfiniteAlphabet,
     KeyMismatch,
-    SolverBoundError,
     UnknownLetter,
     ZeroArgument,
     act,
@@ -18,6 +20,7 @@ from polymon import (
     ball_cardinality,
     cayley_dot,
     element,
+    enumeration_key,
     generator,
     in_subsemigroup,
     one,
@@ -26,6 +29,8 @@ from polymon import (
     solve_axb,
     zero,
 )
+
+from helpers import solve_axb_enumerate
 
 AB2 = Alphabet(2)
 AB3 = Alphabet(3)
@@ -112,6 +117,58 @@ def test_solver_output_is_in_enumeration_order():
     sols = solve_axb(A, A.inverse(), c * c)
     sizes = [x.size for x in sols]
     assert sizes == sorted(sizes)
+
+
+def assert_solution_set(a, b, c, sols):
+    letters = a.letters() | b.letters() | c.letters()
+    for x in sols:
+        assert (a * x) * b == c
+        assert x.letters() <= letters
+    assert len(sols) <= (len(a.v) + 2) * (len(b.u) + 2)
+
+
+def test_solver_matches_oracle_on_radius_one_lambda_three():
+    elems = ball(AB3, 1).nonzero
+    for a, b, c in iproduct(elems, repeat=3):
+        sols = solve_axb(a, b, c)
+        assert sols == solve_axb_enumerate(a, b, c), (a, b, c)
+        assert_solution_set(a, b, c, sols)
+
+
+def small_elements(lam, max_size):
+    """Nonzero elements of size <= max_size.  Over the countable alphabet
+    the letters are 0 and 40, past every finite alphabet used here; two
+    letters keep the oracle's search as small as over lambda 2."""
+    ab = Alphabet(lam)
+    letter = st.integers(0, lam - 1) if lam else st.sampled_from((0, 40))
+    return st.lists(letter, max_size=max_size).flatmap(
+        lambda w: st.integers(0, len(w)).map(lambda k: Element(ab, tuple(w[:k]), tuple(w[k:])))
+    )
+
+
+def triples(max_size):
+    return st.sampled_from((2, 3, None)).flatmap(lambda lam: st.tuples(*[small_elements(lam, max_size)] * 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples(2))
+def test_solver_matches_oracle_on_small_systems(system):
+    a, b, c = system
+    sols = solve_axb(a, b, c)
+    assert sols == solve_axb_enumerate(a, b, c)
+    assert_solution_set(a, b, c, sols)
+
+
+@given(triples(4))
+def test_solver_finds_planted_solutions(system):
+    # sizes beyond the oracle's reach: the planted x must be found
+    a, x, b = system
+    c = (a * x) * b
+    assume(not c.is_zero)
+    sols = solve_axb(a, b, c)
+    assert x in sols
+    assert sols == sorted(sols, key=enumeration_key)
+    assert_solution_set(a, b, c, sols)
 
 
 def test_ball_shapes():

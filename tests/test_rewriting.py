@@ -155,6 +155,13 @@ def test_collapse_not_found_is_none():
     assert collapse_witness(A, B, max_depth=0) is None
 
 
+def test_collapse_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        collapse_witness(A, B, max_depth=-1)
+    with pytest.raises(ValueError):
+        collapse_witness(ZERO, ONE, max_depth=-1)
+
+
 def test_collapse_is_deterministic():
     assert collapse_witness(A, B) == collapse_witness(A, B)
     d1 = collapse_witness(A.inverse(), B.inverse())
