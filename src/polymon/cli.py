@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import List, Optional
 
@@ -30,23 +29,12 @@ class UsageError(Exception):
     """Malformed invocation below argparse's radar; exits 2."""
 
 
-def _lambda_arg(text: str):
-    if text.lower() in ("inf", "infinite"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"lambda must be an integer or 'inf', got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="lam", type=_lambda_arg, default=2,
+    common.add_argument("--lambda", dest="alphabet", type=make_alphabet, default="2", metavar="N|inf",
                         help="alphabet size, an integer >= 2 or 'inf' (default 2)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed the RNG; reserved for randomized sweeps")
 
     parser = argparse.ArgumentParser(prog="polymon",
                                      description="Exact computation in polycyclic inverse monoids.")
@@ -244,21 +232,15 @@ def _repl(args, alphabet: Alphabet) -> int:
             continue
         try:
             x = _eval(line, alphabet)
-            if args.format == "json":
-                print(json.dumps(x.to_json()))
-            else:
-                print(x)
+            _emit(args, str(x), x.to_json())
         except PolymonError as err:
             print(f"error: {err}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
-        alphabet = make_alphabet(args.lam)
-        return _run(args, alphabet)
+        args = build_parser().parse_args(argv)
+        return _run(args, args.alphabet)
     except ExpressionSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2

@@ -193,7 +193,12 @@ def evaluate(expr: Expression, alphabet: Alphabet) -> Element:
     if isinstance(expr, Generator):
         return generator(alphabet, expr.index)
     if isinstance(expr, Inverse):
-        return evaluate(expr.inner, alphabet).inverse()
+        # fold a chain of primes by parity, so long chains do not recurse
+        flips = 0
+        while isinstance(expr, Inverse):
+            expr, flips = expr.inner, flips + 1
+        x = evaluate(expr, alphabet)
+        return x.inverse() if flips % 2 else x
     if isinstance(expr, Product):
         acc = one(alphabet)
         for f in expr.factors:

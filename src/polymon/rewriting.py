@@ -247,25 +247,6 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
         return Derivation((DerivationStep(SEED, seed),))
 
     pool = multiplier_pool(a, b)
-    lmemo: Dict[Tuple[int, Element], Element] = {}
-    rmemo: Dict[Tuple[int, Element], Element] = {}
-
-    def left(mi: int, x: Element) -> Element:
-        key = (mi, x)
-        r = lmemo.get(key)
-        if r is None:
-            r = pool[mi] * x
-            lmemo[key] = r
-        return r
-
-    def right(mi: int, x: Element) -> Element:
-        key = (mi, x)
-        r = rmemo.get(key)
-        if r is None:
-            r = x * pool[mi]
-            rmemo[key] = r
-        return r
-
     parent: Dict[Tuple[Element, Element], Optional[tuple]] = {seed: None}
     queue: deque = deque([(seed, 0)])
     while queue:
@@ -273,8 +254,8 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
         if depth >= max_depth:
             continue
         x, y = state
-        moves = [((left(mi, x), left(mi, y)), LEFT_MULTIPLY, pool[mi]) for mi in range(len(pool))]
-        moves += [((right(mi, x), right(mi, y)), RIGHT_MULTIPLY, pool[mi]) for mi in range(len(pool))]
+        moves = [((m * x, m * y), LEFT_MULTIPLY, m) for m in pool]
+        moves += [((x * m, y * m), RIGHT_MULTIPLY, m) for m in pool]
         moves.append(((y, x), SYMMETRY, None))
         for nxt, rule, m in moves:
             if nxt[0] == nxt[1] or nxt in parent:

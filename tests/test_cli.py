@@ -64,8 +64,14 @@ def test_unknown_letter_exits_1(capsys):
     assert code == 1 and "letter c" in err
 
 
-def test_seed_flag_is_accepted(capsys):
-    assert run(capsys, "eval", "1", "--seed", "7") == (0, "1\n", "")
+def test_seed_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "1", "--seed", "7"])
+    assert exc.value.code == 2
+
+
+def test_long_prime_chain_evaluates(capsys):
+    assert run(capsys, "eval", "a" + "'" * 3000) == (0, "a\n", "")
 
 
 def test_solve_text(capsys):

@@ -60,6 +60,10 @@ def test_products_and_whitespace():
     assert ev("  a  '  b ") == a.inverse() * b
 
 
+def test_long_prime_chain_folds_by_parity():
+    assert ev("a" + "'" * 5001) == generator(AB2, 0).inverse()
+
+
 def test_postfix_binds_tighter_than_product():
     a, b = generator(AB2, 0), generator(AB2, 1)
     assert ev("ab'") == a * b.inverse()

@@ -1,5 +1,8 @@
 """Free-word reduction oracle and the congruence-collapse search."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from polymon import (
     EqualPair,
     UnknownLetter,
     ZeroArgument,
+    ball,
     collapse_witness,
     element,
     free_word,
@@ -167,6 +171,19 @@ def test_collapse_is_deterministic():
     d1 = collapse_witness(A.inverse(), B.inverse())
     d2 = collapse_witness(A.inverse(), B.inverse())
     assert d1.to_json() == d2.to_json()
+
+
+@pytest.mark.parametrize("lam, pairs, digest", [
+    (2, 30, "0632f0fac6b53e905b942452545cfb0c86f80ed059fee318ce434afbcbed5a50"),
+    (3, 56, "2251d2314bb21ca93e8531f3c9d09af0d63a174dc289996f652befb2935f2cf7"),
+])
+def test_collapse_derivations_pinned_on_radius_1(lam, pairs, digest):
+    # every ordered pair of distinct radius-1 elements, in ball order, at depth 8
+    elems = list(ball(Alphabet(lam), 1))
+    blobs = [collapse_witness(x, y, 8).to_json() for x in elems for y in elems if x != y]
+    assert len(blobs) == pairs
+    text = json.dumps(blobs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_multiplier_pool_order_and_size():
