@@ -10,7 +10,8 @@ Grammar (whitespace insignificant between tokens):
 
 A bare 'g' is letter 6; 'g' followed by digits is the letter with that
 index.  Letter indices are checked against the session alphabet while
-parsing, so an out-of-range letter fails before evaluation.
+parsing, so an out-of-range letter fails before evaluation.  Parentheses
+nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ Expression = Union[ZeroLit, OneLit, Generator, Inverse, Product, Literal]
 
 _ATOM_START = ("ZERO", "ONE", "LETTER", "LPAREN")
 
+# Deepest parenthesis nesting accepted.  Parsing recurses three frames
+# per level and ``evaluate`` at most two (a nested Product, an Inverse),
+# so this keeps both well inside Python's default recursion limit of
+# 1000; a deeper '(' is a syntax error at its position.
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, tokens: List[Token], alphabet: Alphabet, length: int):
@@ -118,6 +125,7 @@ class _Parser:
         self.alphabet = alphabet
         self.length = length
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.at] if self.at < len(self.tokens) else None
@@ -165,11 +173,15 @@ class _Parser:
                 )
             return Generator(tok.index)
         if tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             inner = self.expr()
             closing = self.peek()
             if closing is None or closing.kind != "RPAREN":
                 raise ExpressionSyntaxError("expected ')'", closing.pos if closing else self.length)
             self.take()
+            self.depth -= 1
             return inner
         raise ExpressionSyntaxError(f"unexpected {tok.kind.lower()}", tok.pos)
 

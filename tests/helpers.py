@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from polymon import Alphabet, Element, zero
+from polymon import Alphabet, Element, ball, zero
 from polymon.core import elements_of_size
 
 
@@ -49,3 +49,21 @@ def solve_axb_enumerate(a: Element, b: Element, c: Element) -> list:
                 assert total <= bound, f"solution {x} of size {total} above bound {bound}"
                 solutions.append(x)
     return solutions
+
+
+def certify_translations_enumerate(a: Element, nbhd, shrunk, radius: int) -> list:
+    """Brute-force oracle for ``certify_translations``: scan the whole
+    radius ball and test every x in the shrunk neighborhood with two
+    products, reporting (x, side, product) where a*x or x*a leaves the
+    target."""
+    bad = []
+    for x in ball(nbhd.alphabet, radius):
+        if x not in shrunk:
+            continue
+        lhs = a * x
+        if lhs not in nbhd:
+            bad.append((x, "left", lhs))
+        rhs = x * a
+        if rhs not in nbhd:
+            bad.append((x, "right", rhs))
+    return bad

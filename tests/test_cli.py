@@ -74,6 +74,20 @@ def test_long_prime_chain_evaluates(capsys):
     assert run(capsys, "eval", "a" + "'" * 3000) == (0, "a\n", "")
 
 
+@pytest.mark.parametrize("expr", ["(" * 3000 + "a" + ")" * 3000, "a(" * 3000 + "a" + ")" * 3000])
+def test_deep_nesting_is_a_syntax_error(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: parentheses nested deeper than 200")
+    assert err.count("\n") == 1
+
+
+def test_nesting_at_the_limit_evaluates(capsys):
+    assert run(capsys, "eval", "(" * 200 + "a" + ")" * 200) == (0, "a\n", "")
+    assert run(capsys, "eval", "a(" * 200 + "a" + ")" * 200) == (0, "a" * 201 + "\n", "")
+    assert run(capsys, "eval", "a(" * 200 + "a" + ")'" * 200) == (0, "a\n", "")
+
+
 def test_solve_text(capsys):
     code, out, _ = run(capsys, "solve", "a", "a'", "1")
     assert (code, out) == (0, "1, a'a\n")
@@ -186,6 +200,13 @@ def test_continuity_empty_exclusion(capsys):
     code, out, _ = run(capsys, "continuity", "b")
     assert code == 0
     assert "excluded input: none" in out
+
+
+def test_continuity_huge_radius(capsys):
+    code, out, err = run(capsys, "continuity", "a", "--exclude", "1", "--radius", "1000")
+    assert (code, err) == (0, "")
+    _, six, _ = run(capsys, "continuity", "a", "--exclude", "1", "--radius", "6")
+    assert out.replace("verified radius: 1000", "verified radius: 6") == six
 
 
 def test_witness_unit_target(capsys):

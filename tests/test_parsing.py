@@ -18,7 +18,7 @@ from polymon import (
     parse_positive_word,
     zero,
 )
-from polymon.parsing import Generator, Inverse, Literal, Product, ZeroLit
+from polymon.parsing import MAX_NESTING, Generator, Inverse, Literal, Product, ZeroLit
 
 AB2 = Alphabet(2)
 AB3 = Alphabet(3)
@@ -91,6 +91,14 @@ def test_syntax_errors_carry_position():
     for bad in ("", "(a", "a)", "a @ b", "*a", "'a"):
         with pytest.raises(ExpressionSyntaxError):
             parse(bad, AB2)
+
+
+def test_nesting_depth_is_bounded():
+    assert MAX_NESTING == 200
+    for text, pos in (("(" * 201 + "a" + ")" * 201, 200), ("a(" * 201 + "a" + ")" * 201, 401)):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse(text, AB2)
+        assert exc.value.position == pos
 
 
 def test_unknown_letters_are_domain_errors():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import certify_translations_enumerate
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -85,7 +86,8 @@ def test_shrink_certificates_on_small_ball():
     U = cofinite(AB2, ball(AB2, 1).nonzero)
     for a in ball(AB2, 2):
         V = shrink_neighborhood(a, U)
-        assert certify_translations(a, U, V, 5) == []
+        # the ball scan: certify_translations passes any real shrink by construction
+        assert certify_translations_enumerate(a, U, V, 5) == []
 
 
 def test_certify_reports_failures():
@@ -96,6 +98,52 @@ def test_certify_reports_failures():
     x, side, image = bad[0]
     assert image not in U
     assert (A * x if side == "left" else x * A) == image
+
+
+def test_certify_matches_ball_scan():
+    # every (a, target, shrunk, radius) below, compared as exact lists
+    cases = nonempty = 0
+    rng = random.Random(29)
+    for lam, a_radius in ((2, 3), (3, 2)):
+        ab = Alphabet(lam)
+        pool = list(ball(ab, 2).nonzero)
+        targets = [cofinite(ab, rng.sample(pool, k)) for k in (4, len(pool) // 2)]
+        for a in ball(ab, a_radius):
+            for U in targets:
+                V = shrink_neighborhood(a, U)
+                dropped = V.excluded_sorted()
+                for shrunk in (V, U, cofinite(ab), cofinite(ab, dropped[::2])):
+                    for radius in (0, 2, 4):
+                        want = certify_translations_enumerate(a, U, shrunk, radius)
+                        assert certify_translations(a, U, shrunk, radius) == want
+                        cases += 1
+                        nonempty += bool(want)
+    assert (cases, nonempty) == (2040, 839)
+
+
+def test_certify_errors_keep_their_messages():
+    U = cofinite(AB2, [ONE])
+    inf = Alphabet(None)
+    with pytest.raises(InfiniteAlphabet, match="^balls are finite only over finite alphabets$"):
+        certify_translations(generator(inf, 0), cofinite(inf), cofinite(inf), 2)
+    with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
+        certify_translations(A, U, U, -1)
+    for a in (generator(Alphabet(3), 0), zero(Alphabet(3))):
+        with pytest.raises(AlphabetMismatch, match=r"^Alphabet\(size=3\) vs Alphabet\(size=2\)$"):
+            certify_translations(a, U, U, 2)
+
+
+def test_certify_zero_translation_is_empty():
+    U = cofinite(AB2, [ONE, A, B.inverse()])
+    for shrunk in (U, cofinite(AB2)):
+        assert certify_translations(ZERO, U, shrunk, 4) == []
+
+
+def test_certify_huge_radius_needs_no_ball():
+    U = cofinite(AB2, [ONE, A * B])
+    want = certify_translations_enumerate(A, U, U, 6)
+    assert want
+    assert certify_translations(A, U, U, 1000) == want
 
 
 def test_witness_family_unit_target():
