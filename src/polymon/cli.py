@@ -1,7 +1,8 @@
 """polymon command line: evaluate expressions and expose every operation.
 
 Exit status: 0 success (including a collapse search that finds nothing),
-1 domain error or unwritable output file, 2 syntax/usage error.
+1 domain error, unwritable output file or an input over a size cap,
+2 syntax/usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Optional
 
 from .core import Alphabet, make_alphabet, one, render_word
 from .errors import ExpressionSyntaxError, PolymonError
-from .green import act, ball, cayley_dot, rclass_key, solve_axb
+from .green import act, ball, ball_cardinality, cayley_dot, rclass_key, solve_axb
 from .parsing import parse, parse_positive_word, evaluate
 from .rewriting import collapse_witness
 from .topology import (
@@ -23,6 +24,20 @@ from .topology import (
     joint_discontinuity_family,
     shrink_neighborhood,
 )
+
+
+# Size caps, checked before any work starts; an input over a cap exits 1.
+# The library functions themselves take any size.
+
+# Most elements `ball N` lists.  `export-dot N` draws one edge per element
+# and letter, and its edge count is held to the same cap.
+MAX_BALL_ELEMENTS = 10**6
+# Most pairs `witness K` prints; pair i has words of length i, so the
+# output grows with K squared.
+MAX_WITNESS_PAIRS = 1000
+# Largest `collapse --depth`.  It bounds the length of a derivation, not
+# the number of pairs the breadth-first search visits on the way.
+MAX_COLLAPSE_DEPTH = 16
 
 
 class UsageError(Exception):
@@ -54,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rclass", parents=[common], help="canonical representative of the R-class")
     p.add_argument("expr")
 
-    p = sub.add_parser("ball", parents=[common], help="enumerate the radius-N ball")
+    p = sub.add_parser("ball", parents=[common],
+                       help=f"enumerate the radius-N ball, at most {MAX_BALL_ELEMENTS} elements")
     p.add_argument("radius", type=int)
 
     p = sub.add_parser("act", parents=[common], help="apply an element to a stack word")
@@ -70,16 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ball radius for certificate verification (default 6)")
 
     p = sub.add_parser("witness", parents=[common],
-                       help="joint-discontinuity pairs for a target: witness [C] K")
+                       help=f"joint-discontinuity pairs for a target: witness [C] K, K at most {MAX_WITNESS_PAIRS}")
     p.add_argument("args", nargs="+", metavar="[C] K")
 
     p = sub.add_parser("collapse", parents=[common],
                        help="derive (0, 1) from identifying A with B")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--depth", type=int, default=8, help="search depth budget (default 8)")
+    p.add_argument("--depth", type=int, default=8,
+                   help=f"search depth budget, at most {MAX_COLLAPSE_DEPTH} (default 8); it bounds the "
+                        "derivation length, not the number of states searched")
 
-    p = sub.add_parser("export-dot", parents=[common], help="right-Cayley ball as DOT")
+    p = sub.add_parser("export-dot", parents=[common],
+                       help=f"right-Cayley ball as DOT, at most {MAX_BALL_ELEMENTS} edges")
     p.add_argument("radius", type=int)
     p.add_argument("file")
 
@@ -116,6 +135,7 @@ def _run(args, alphabet: Alphabet) -> int:
         rep = rclass_key(_eval(args.expr, alphabet)).representative(alphabet)
         _emit(args, str(rep), rep.to_json())
     elif cmd == "ball":
+        _check_ball(alphabet, args.radius, "elements", 1)
         b = ball(alphabet, args.radius)
         _emit(args, "\n".join(str(e) for e in b), [e.to_json() for e in b])
     elif cmd == "act":
@@ -135,6 +155,20 @@ def _run(args, alphabet: Alphabet) -> int:
     elif cmd == "repl":
         return _repl(args, alphabet)
     return 0
+
+
+def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) -> None:
+    """Reject a radius whose ball, counted per_element times, exceeds
+    MAX_BALL_ELEMENTS.  Building a ball lists all lambda letters even at
+    radius 0, so lambda counts as well.  Infinite alphabets and negative
+    radii are left to ``ball`` to reject."""
+    lam = alphabet.size
+    if lam is None or radius < 0:
+        return
+    # |ball(n)| >= 2**n, so any radius past the cap's bit length is over it
+    count = max(lam, ball_cardinality(lam, min(radius, MAX_BALL_ELEMENTS.bit_length()))) * per_element
+    if count > MAX_BALL_ELEMENTS:
+        raise ValueError(f"radius {radius} over {lam} letters is above the cap of {MAX_BALL_ELEMENTS} {what}")
 
 
 def _continuity(args, alphabet: Alphabet) -> int:
@@ -172,16 +206,16 @@ def _continuity(args, alphabet: Alphabet) -> int:
 
 
 def _witness(args, alphabet: Alphabet) -> int:
-    if len(args.args) == 1:
-        c, k_text = one(alphabet), args.args[0]
-    elif len(args.args) == 2:
-        c, k_text = _eval(args.args[0], alphabet), args.args[1]
-    else:
+    if len(args.args) > 2:
         raise UsageError("witness takes an optional target and a count: witness [C] K")
+    k_text = args.args[-1]
     try:
         k = int(k_text)
     except ValueError:
         raise UsageError(f"K must be an integer, got {k_text!r}")
+    if k > MAX_WITNESS_PAIRS:
+        raise ValueError(f"K = {k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
+    c = _eval(args.args[0], alphabet) if len(args.args) == 2 else one(alphabet)
     family = joint_discontinuity_family(c, k)
     text = "\n".join(f"{a} {b}" for a, b in family.pairs)
     _emit(args, text, family.to_json())
@@ -189,6 +223,8 @@ def _witness(args, alphabet: Alphabet) -> int:
 
 
 def _collapse(args, alphabet: Alphabet) -> int:
+    if args.depth > MAX_COLLAPSE_DEPTH:
+        raise ValueError(f"depth {args.depth} is above the cap of {MAX_COLLAPSE_DEPTH}")
     derivation = collapse_witness(_eval(args.a, alphabet), _eval(args.b, alphabet), args.depth)
     if derivation is None:
         _emit(args, f"not found within depth {args.depth}", {"found": False, "max_depth": args.depth})
@@ -207,6 +243,7 @@ def _collapse(args, alphabet: Alphabet) -> int:
 
 
 def _export_dot(args, alphabet: Alphabet) -> int:
+    _check_ball(alphabet, args.radius, "edges", alphabet.size or 1)
     dot = cayley_dot(ball(alphabet, args.radius))
     with open(args.file, "w") as fh:
         fh.write(dot)

@@ -14,11 +14,13 @@ the closed form matches SUFFIXES:
                     = (s + u, q)   if p = s + v   (v a suffix of p)
                     = Zero         otherwise.
 
-Much of the literature states the dual (prefix) convention; every
-fixture in this package assumes the suffix form above.  The closed form
-is not taken on faith: ``polymon.rewriting.mul_oracle`` recomputes every
-product by free-word rewriting and the test suite checks the two agree,
-exhaustively on small balls and on large random sweeps.
+``mul_nf`` is this closed form on bare pairs, and ``Element.__mul__``
+delegates to it.  Much of the literature states the dual (prefix)
+convention; every fixture in this package assumes the suffix form
+above.  The closed form is not taken on faith:
+``polymon.rewriting.mul_oracle`` recomputes every product by free-word
+rewriting and the test suite checks the two agree, exhaustively on
+small balls and on large random sweeps.
 
 Enumeration order, used everywhere fixtures need to be reproducible:
 Zero first, then nonzero pairs ordered by (|u| + |v|, |u|, u, v) with
@@ -52,6 +54,29 @@ def letter_name(index: int) -> str:
 def render_word(word: Sequence[int]) -> str:
     """Concatenated letter names; the empty word renders as ''."""
     return "".join(letter_name(i) for i in word)
+
+
+NormalForm = Tuple[Word, Word]
+
+
+def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[Word]) -> Optional[NormalForm]:
+    """The closed form of ``*`` on bare normal forms: (u, v) * (p, q).
+
+    A factor with u (or p) None is Zero.  Returns the product's pair
+    (u, v), or None for Zero.  ``Element.__mul__`` and the collapse
+    search both multiply through this function.
+    """
+    if u is None or v is None or p is None or q is None:
+        return None
+    if len(v) >= len(p):
+        cut = len(v) - len(p)
+        if v[cut:] == p:
+            return u, v[:cut] + q
+    else:
+        cut = len(p) - len(v)
+        if p[cut:] == v:
+            return p[:cut] + u, q
+    return None
 
 
 @dataclass(frozen=True)
@@ -148,19 +173,10 @@ class Element:
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatch(f"{self.alphabet} vs {other.alphabet}")
-        u, v = self.u, self.v
-        p, q = other.u, other.v
-        if u is None or v is None or p is None or q is None:
+        nf = mul_nf(self.u, self.v, other.u, other.v)
+        if nf is None:
             return Element(self.alphabet, None, None)
-        if len(v) >= len(p):
-            cut = len(v) - len(p)
-            if v[cut:] == p:
-                return Element(self.alphabet, u, v[:cut] + q)
-        else:
-            cut = len(p) - len(v)
-            if p[cut:] == v:
-                return Element(self.alphabet, p[:cut] + u, q)
-        return Element(self.alphabet, None, None)
+        return Element(self.alphabet, nf[0], nf[1])
 
     def inverse(self) -> "Element":
         """Swap the components; Zero is its own inverse."""

@@ -17,7 +17,10 @@ against rightmost and confirm the result is strategy-independent.
 ``collapse_witness`` searches the congruence generated by one pair for a
 derivation of (0, 1): identifying any two distinct elements collapses
 the whole monoid.  Not finding one within the depth budget is a legal
-outcome, reported as None, never as an error.
+outcome, reported as None, never as an error.  The search runs on bare
+normal forms through ``core.mul_nf``; the derivation it returns, and
+``verify_derivation`` replaying it, use ``Element``.  The test suite
+keeps the same search over ``Element`` pairs as its oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Alphabet, Element, elements_of_size, one, zero
+from .core import Alphabet, Element, NormalForm, elements_of_size, mul_nf, one, zero
 from .errors import AlphabetMismatch, EqualPair, UnknownLetter, ZeroArgument
 
 FreeWord = Tuple[int, ...]
@@ -118,7 +121,7 @@ def reduce_stepwise(alphabet: Alphabet, word: Iterable[int], strategy: str = "le
 
 def mul_oracle(x: Element, y: Element) -> Element:
     """Product recomputed from scratch by rewriting; never consults the
-    closed form in ``Element.__mul__``."""
+    closed form ``core.mul_nf``."""
     if x.alphabet != y.alphabet:
         raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")
     if x.is_zero or y.is_zero:
@@ -233,6 +236,10 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     found for given inputs is reproducible.  Diagonal pairs are pruned:
     every move sends (x, x) to another diagonal pair, which can never
     become (0, 1).  A negative max_depth raises ValueError.
+
+    The search runs on bare normal forms, (u, v) or None for Zero, and
+    multiplies with ``mul_nf``; only the pairs on the returned chain
+    become ``Element``s again.
     """
     if max_depth < 0:
         raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
@@ -240,39 +247,52 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a == b:
         raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
-    ab = a.alphabet
-    target = (zero(ab), one(ab))
-    seed = (a, b)
+    seed = (_bare(a), _bare(b))
+    target = (None, ((), ()))
     if seed == target:
-        return Derivation((DerivationStep(SEED, seed),))
+        return Derivation((DerivationStep(SEED, (a, b)),))
 
     pool = multiplier_pool(a, b)
-    parent: Dict[Tuple[Element, Element], Optional[tuple]] = {seed: None}
+    factors = [(m.u, m.v) for m in pool]
+    # rule and multiplier of each move, in the order of the move list below
+    labels = [(LEFT_MULTIPLY, m) for m in pool] + [(RIGHT_MULTIPLY, m) for m in pool] + [(SYMMETRY, None)]
+    parent: Dict[tuple, Optional[tuple]] = {seed: None}
     queue: deque = deque([(seed, 0)])
     while queue:
         state, depth = queue.popleft()
         if depth >= max_depth:
             continue
         x, y = state
-        moves = [((m * x, m * y), LEFT_MULTIPLY, m) for m in pool]
-        moves += [((x * m, y * m), RIGHT_MULTIPLY, m) for m in pool]
-        moves.append(((y, x), SYMMETRY, None))
-        for nxt, rule, m in moves:
+        xu, xv = x or (None, None)
+        yu, yv = y or (None, None)
+        moves = [(mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv)) for p, q in factors]
+        moves += [(mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q)) for p, q in factors]
+        moves.append((y, x))
+        for i, nxt in enumerate(moves):
             if nxt[0] == nxt[1] or nxt in parent:
                 continue
-            parent[nxt] = (state, rule, m)
+            parent[nxt] = (state, labels[i])
             if nxt == target:
-                return _chain(parent, seed, nxt)
+                return _chain(parent, (a, b), nxt)
             queue.append((nxt, depth + 1))
     return None
 
 
-def _chain(parent: dict, seed: Tuple[Element, Element], final: Tuple[Element, Element]) -> Derivation:
+def _bare(x: Element) -> Optional[NormalForm]:
+    return None if x.u is None or x.v is None else (x.u, x.v)
+
+
+def _element(alphabet: Alphabet, nf: Optional[NormalForm]) -> Element:
+    return Element(alphabet, None, None) if nf is None else Element(alphabet, nf[0], nf[1])
+
+
+def _chain(parent: dict, seed: Tuple[Element, Element], final: tuple) -> Derivation:
+    ab = seed[0].alphabet
     hops = []
     state = final
     while parent[state] is not None:
-        prev, rule, m = parent[state]
-        hops.append(DerivationStep(rule, state, by=m))
+        prev, (rule, m) = parent[state]
+        hops.append(DerivationStep(rule, (_element(ab, state[0]), _element(ab, state[1])), by=m))
         state = prev
     hops.append(DerivationStep(SEED, seed))
     return Derivation(tuple(reversed(hops)))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Dict, Optional, Tuple
 
 from hypothesis import strategies as st
 
-from polymon import Alphabet, Element, ball, zero
+from polymon import Alphabet, AlphabetMismatch, EqualPair, Element, ball, multiplier_pool, one, zero
 from polymon.core import elements_of_size
+from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
 
 
 def words_st(lam: int, max_len: int = 4):
@@ -67,3 +70,52 @@ def certify_translations_enumerate(a: Element, nbhd, shrunk, radius: int) -> lis
         if rhs not in nbhd:
             bad.append((x, "right", rhs))
     return bad
+
+
+def collapse_witness_elements(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
+    """Oracle for ``collapse_witness``: the same breadth-first search run
+    on ``Element`` pairs with ``Element * Element``, with the move order,
+    diagonal pruning, first-discovery parents and depth check of the
+    library search."""
+    if max_depth < 0:
+        raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
+    if a == b:
+        raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
+    ab = a.alphabet
+    target = (zero(ab), one(ab))
+    seed = (a, b)
+    if seed == target:
+        return Derivation((DerivationStep(SEED, seed),))
+
+    pool = multiplier_pool(a, b)
+    parent: Dict[Tuple[Element, Element], Optional[tuple]] = {seed: None}
+    queue: deque = deque([(seed, 0)])
+    while queue:
+        state, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        x, y = state
+        moves = [((m * x, m * y), LEFT_MULTIPLY, m) for m in pool]
+        moves += [((x * m, y * m), RIGHT_MULTIPLY, m) for m in pool]
+        moves.append(((y, x), SYMMETRY, None))
+        for nxt, rule, m in moves:
+            if nxt[0] == nxt[1] or nxt in parent:
+                continue
+            parent[nxt] = (state, rule, m)
+            if nxt == target:
+                return _chain_elements(parent, seed, nxt)
+            queue.append((nxt, depth + 1))
+    return None
+
+
+def _chain_elements(parent: dict, seed: Tuple[Element, Element], final: Tuple[Element, Element]) -> Derivation:
+    hops = []
+    state = final
+    while parent[state] is not None:
+        prev, rule, m = parent[state]
+        hops.append(DerivationStep(rule, state, by=m))
+        state = prev
+    hops.append(DerivationStep(SEED, seed))
+    return Derivation(tuple(reversed(hops)))

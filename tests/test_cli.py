@@ -1,11 +1,16 @@
 """Command-line behavior: output, formats, exit codes, the REPL."""
 
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polymon.cli import main
+from polymon import cli
+from polymon.cli import MAX_BALL_ELEMENTS, MAX_COLLAPSE_DEPTH, MAX_WITNESS_PAIRS, main
 
 
 def run(capsys, *argv):
@@ -144,6 +149,17 @@ def test_ball_negative_radius_exits_1(capsys):
     assert code == 1 and "error" in err
 
 
+def test_ball_over_cap_exits_1(capsys, monkeypatch):
+    for argv in (["ball", "16"], ["ball", str(10**30)], ["ball", "0", "--lambda", str(10**12)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"cap of {MAX_BALL_ELEMENTS} elements" in err
+        assert err.count("\n") == 1
+    monkeypatch.setattr(cli, "MAX_BALL_ELEMENTS", 18)
+    assert run(capsys, "ball", "2")[0] == 0  # exactly 18 elements
+    assert run(capsys, "ball", "3")[0] == 1
+
+
 def test_witness_zero_count_exits_1(capsys):
     code, _, err = run(capsys, "witness", "0")  # lone arg is K
     assert code == 1 and "error" in err
@@ -233,6 +249,17 @@ def test_witness_usage_errors(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_witness_over_cap_exits_1(capsys):
+    code, out, _ = run(capsys, "witness", str(MAX_WITNESS_PAIRS))
+    assert code == 0 and out.count("\n") == MAX_WITNESS_PAIRS
+    # checked before the target is evaluated: c is no letter over lambda = 2
+    for argv in (["witness", str(MAX_WITNESS_PAIRS + 1)], ["witness", "c", str(10**30)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"cap of {MAX_WITNESS_PAIRS} pairs" in err
+        assert err.count("\n") == 1
+
+
 def test_witness_zero_target_exits_1(capsys):
     code, _, err = run(capsys, "witness", "0", "2")
     assert code == 1 and "error" in err
@@ -270,6 +297,17 @@ def test_collapse_negative_depth_exits_1(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_collapse_depth_over_cap_exits_1(capsys):
+    code, out, _ = run(capsys, "collapse", "a'a", "1", "--depth", str(MAX_COLLAPSE_DEPTH))
+    assert code == 0 and out.startswith("seed: a'a ~ 1\n")
+    # checked before the pair is evaluated: c is no letter over lambda = 2
+    for argv in (["a'a", "1", "--depth", str(MAX_COLLAPSE_DEPTH + 1)], ["c", "a", "--depth", str(10**30)]):
+        code, out, err = run(capsys, "collapse", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"cap of {MAX_COLLAPSE_DEPTH}" in err
+        assert err.count("\n") == 1
+
+
 def test_export_dot(tmp_path, capsys):
     target = tmp_path / "ball.dot"
     code, out, _ = run(capsys, "export-dot", "1", str(target))
@@ -294,6 +332,20 @@ def test_export_dot_unwritable_path_exits_1(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_export_dot_over_cap_exits_1(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "big.dot"
+    # 2002 elements over 1000 letters: 2 002 000 edges
+    for argv in (["1", str(target), "--lambda", "1000"], ["15", str(target)]):
+        code, out, err = run(capsys, "export-dot", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"cap of {MAX_BALL_ELEMENTS} edges" in err
+        assert err.count("\n") == 1
+    assert not target.exists()
+    monkeypatch.setattr(cli, "MAX_BALL_ELEMENTS", 28)
+    assert run(capsys, "export-dot", "1", str(target))[0] == 0  # 14 elements, 28 edges
+    assert run(capsys, "export-dot", "2", str(target))[0] == 1
+
+
 def test_repl(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("a a'\nc\n\nquit\n"))
     code = main(["repl"])
@@ -309,3 +361,69 @@ def test_repl_eof_ends(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out) == {"u": [1], "v": []}
+
+
+# subcommand -> (kinds of its positionals, its own flags)
+FUZZ_COMMANDS = {
+    "eval": (["expr"], []), "solve": (["expr"] * 3, []), "downset": (["expr"], []), "rclass": (["expr"], []),
+    "ball": (["int"], []), "act": (["expr", "word"], []), "continuity": (["expr"], ["--radius", "--exclude"]),
+    "witness": (["expr", "int"], []), "collapse": (["expr", "expr"], ["--depth"]),
+    "export-dot": (["int", "path"], []), "repl": ([], []), "nosuch": ([], []),
+}
+BIG = str(10**30)
+FUZZ_VALUES = {
+    "expr": ["a", "b'", "a'b", "(ab)'", "a^-1 b", "0", "1", "c", "g30", "", "((a", "*"],
+    "int": ["-1", "0", "1", "2", "3", "17", str(10**12), BIG, "-" + BIG, "x"],
+    "word": ["", "ab", "ba", "c"],
+}
+FUZZ_FLAGS = {
+    "--lambda": ["2", "3", "inf", "1", "x", BIG],
+    "--format": ["text", "json", "xml"],
+    "--depth": ["0", "2", "16", "17", "-1", BIG],
+    "--radius": ["0", "3", "1000", "-1", BIG],
+    "--exclude": ["1", "a,b'", "c", "(("],
+}
+
+
+@st.composite
+def fuzz_argv(draw, paths):
+    """A subcommand with its positionals (expressions, integers small and
+    huge, stack words, a writable and an unwritable path), sometimes one
+    too few or one too many, then up to two flags: --lambda, --format or
+    its own."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    kinds, own = FUZZ_COMMANDS[cmd]
+    pools = {**FUZZ_VALUES, "path": paths}
+    args = [draw(st.sampled_from(pools[kind])) for kind in kinds]
+    arity = draw(st.sampled_from(["keep", "keep", "keep", "drop", "add"]))
+    if arity == "drop":
+        args = args[:-1]
+    elif arity == "add":
+        args.append(draw(st.sampled_from(FUZZ_VALUES["int"])))
+    for _ in range(draw(st.integers(0, 2))):
+        flag = draw(st.sampled_from(["--lambda", "--format", *own]))
+        args += [flag, draw(st.sampled_from(FUZZ_FLAGS[flag]))]
+    return [cmd, *args]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return [str(root / "out.dot"), str(root / "missing" / "x.dot")]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_random_argv_never_crashes(fuzz_paths, data):
+    argv = data.draw(fuzz_argv(fuzz_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO("a a'\n")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

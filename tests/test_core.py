@@ -20,10 +20,11 @@ from polymon import (
     from_json,
     generator,
     make_alphabet,
+    mul_oracle,
     one,
     zero,
 )
-from polymon.core import elements_of_size, letter_name, render_word
+from polymon.core import elements_of_size, letter_name, mul_nf, render_word
 
 AB2 = Alphabet(2)
 AB3 = Alphabet(3)
@@ -86,6 +87,16 @@ def test_identity_and_zero_absorb():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(AlphabetMismatch):
         A * generator(AB3, 0)
+
+
+@pytest.mark.parametrize("lam, radius", [(2, 3), (3, 2)])
+def test_mul_nf_matches_oracle_and_element_product(lam, radius):
+    elems = list(ball(Alphabet(lam), radius))
+    for x, y in iproduct(elems, elems):
+        nf = mul_nf(x.u, x.v, y.u, y.v)
+        wrapped = zero(x.alphabet) if nf is None else Element(x.alphabet, *nf)
+        assert wrapped == mul_oracle(x, y)
+        assert x * y == wrapped
 
 
 def test_inverse_swaps_components():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import elements_st
+from helpers import collapse_witness_elements, elements_st
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -184,6 +184,19 @@ def test_collapse_derivations_pinned_on_radius_1(lam, pairs, digest):
     assert len(blobs) == pairs
     text = json.dumps(blobs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lam, radius, pairs", [(2, 2, 306), (3, 1, 56)])
+def test_collapse_matches_element_search(lam, radius, pairs):
+    elems = list(ball(Alphabet(lam), radius))
+    seeds = [(x, y) for x in elems for y in elems if x != y]
+    assert len(seeds) == pairs
+    for depth in (2, 8):
+        for x, y in seeds:
+            got = collapse_witness(x, y, depth)
+            want = collapse_witness_elements(x, y, depth)
+            assert (got is None) == (want is None), (x, y, depth)
+            assert got is None or got.to_json() == want.to_json(), (x, y, depth)
 
 
 def test_multiplier_pool_order_and_size():
