@@ -97,7 +97,8 @@ def ball(alphabet: Alphabet, n: int) -> Ball:
         raise InfiniteAlphabet("balls are finite only over finite alphabets")
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    letters = list(range(alphabet.size or 0))
+    # radius 0 needs no letters, so a huge alphabet costs nothing there
+    letters = list(range(alphabet.size or 0)) if n >= 1 else []
     members: List[Element] = [zero(alphabet)]
     for total in range(n + 1):
         members.extend(elements_of_size(alphabet, letters, total))

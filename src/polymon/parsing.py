@@ -11,23 +11,33 @@ Grammar (whitespace insignificant between tokens):
 A bare 'g' is letter 6; 'g' followed by digits is the letter with that
 index.  Letter indices are checked against the session alphabet while
 parsing, so an out-of-range letter fails before evaluation.  Parentheses
-nest at most ``MAX_NESTING`` deep.
+nest at most ``MAX_NESTING`` deep.  ``tokenize`` yields plain
+(kind, position, letter index) tuples; ``parse`` builds the public
+syntax tree from them.
+
+By the relations x x' = 1 and x y' = 0 a whole expression denotes one
+signed word over the doubled alphabet.  ``evaluate`` therefore builds no
+element per node: it flattens the tree into that word (a prime mirrors
+its group's word and flips every sign, '1' adds nothing, '0' makes the
+result Zero once the walk is over) and rewrites it once with the stack
+pass of ``rewriting.reduce``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
-from .core import Alphabet, Element, Word, generator, letter_name, one, zero
+from .core import Alphabet, Element, Word, letter_name, zero
 from .errors import AlphabetMismatch, ExpressionSyntaxError, UnknownLetter
+from .rewriting import _stack_pass, free_word
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ZERO ONE LETTER LPAREN RPAREN STAR INVERT
-    pos: int
-    index: int = -1  # letter index for LETTER
+# Token kinds of the single-character tokens; letters are LETTER, "^-1"
+# is INVERT, and the parser ends its token list with END.
+_PUNCT = {"0": "ZERO", "1": "ONE", "(": "LPAREN", ")": "RPAREN", "*": "STAR", "'": "INVERT"}
+
+Token = Tuple[str, int, int]  # (kind, position, letter index or -1)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -35,40 +45,26 @@ def tokenize(text: str) -> List[Token]:
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if "a" <= c <= "z":
+            if c == "g" and i + 1 < n and text[i + 1].isdigit():
+                j = i + 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                out.append(("LETTER", i, int(text[i + 1:j])))
+                i = j
+            else:
+                out.append(("LETTER", i, ord(c) - 97))  # 97 is ord("a")
+                i += 1
+        elif c in _PUNCT:
+            out.append((_PUNCT[c], i, -1))
             i += 1
-        elif c == "0":
-            out.append(Token("ZERO", i))
-            i += 1
-        elif c == "1":
-            out.append(Token("ONE", i))
-            i += 1
-        elif c == "(":
-            out.append(Token("LPAREN", i))
-            i += 1
-        elif c == ")":
-            out.append(Token("RPAREN", i))
-            i += 1
-        elif c == "*":
-            out.append(Token("STAR", i))
-            i += 1
-        elif c == "'":
-            out.append(Token("INVERT", i))
+        elif c.isspace():
             i += 1
         elif c == "^":
             if text[i + 1:i + 3] != "-1":
                 raise ExpressionSyntaxError("expected '-1' after '^'", i)
-            out.append(Token("INVERT", i))
+            out.append(("INVERT", i, -1))
             i += 3
-        elif c == "g" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("LETTER", i, index=int(text[i + 1:j])))
-            i = j
-        elif "a" <= c <= "z":
-            out.append(Token("LETTER", i, index=ord(c) - ord("a")))
-            i += 1
         else:
             raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
     return out
@@ -113,125 +109,143 @@ Expression = Union[ZeroLit, OneLit, Generator, Inverse, Product, Literal]
 _ATOM_START = ("ZERO", "ONE", "LETTER", "LPAREN")
 
 # Deepest parenthesis nesting accepted.  Parsing recurses three frames
-# per level and ``evaluate`` at most two (a nested Product, an Inverse),
-# so this keeps both well inside Python's default recursion limit of
-# 1000; a deeper '(' is a syntax error at its position.
+# per level.  ``evaluate`` recurses once per nested Product and once per
+# Inverse chain of odd length around anything but a letter, so a parsed
+# tree costs it at most two frames per level.  Both stay well inside
+# Python's default recursion limit of 1000; a deeper '(' is a syntax
+# error at its position.
 MAX_NESTING = 200
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token], alphabet: Alphabet, length: int):
-        self.tokens = tokens
+    def __init__(self, text: str, alphabet: Alphabet):
+        # the END token after the last one carries the text's length
+        self.tokens = tokenize(text)
+        self.tokens.append(("END", len(text), -1))
         self.alphabet = alphabet
-        self.length = length
+        self.letters: Dict[int, Generator] = {}  # one node per letter; nodes are immutable
         self.at = 0
         self.depth = 0
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionSyntaxError("unexpected end of expression", self.length)
-        self.at += 1
-        return tok
 
     def expr(self) -> Expression:
         factors = [self.term()]
         while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "STAR":
-                self.take()
-                factors.append(self.term())
-            elif tok is not None and tok.kind in _ATOM_START:
-                factors.append(self.term())
-            else:
+            kind = self.tokens[self.at][0]
+            if kind == "STAR":
+                self.at += 1
+            elif kind not in _ATOM_START:
                 break
+            factors.append(self.term())
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def term(self) -> Expression:
         node = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "INVERT":
-                self.take()
-                node = Inverse(node)
-            else:
-                return node
+        while self.tokens[self.at][0] == "INVERT":
+            self.at += 1
+            node = Inverse(node)
+        return node
 
     def atom(self) -> Expression:
-        tok = self.take()
-        if tok.kind == "ZERO":
-            return ZeroLit()
-        if tok.kind == "ONE":
-            return OneLit()
-        if tok.kind == "LETTER":
-            if tok.index not in self.alphabet:
-                raise UnknownLetter(
-                    f"letter {letter_name(tok.index)} (position {tok.pos}) not in alphabet of size {self.alphabet.size}"
-                )
-            return Generator(tok.index)
-        if tok.kind == "LPAREN":
+        kind, pos, index = self.tokens[self.at]
+        if kind == "END":
+            raise ExpressionSyntaxError("unexpected end of expression", pos)
+        self.at += 1
+        if kind == "LETTER":
+            node = self.letters.get(index)
+            if node is None:
+                if index not in self.alphabet:
+                    raise UnknownLetter(
+                        f"letter {letter_name(index)} (position {pos}) not in alphabet of size {self.alphabet.size}"
+                    )
+                node = self.letters[index] = Generator(index)
+            return node
+        if kind == "LPAREN":
             if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
             inner = self.expr()
-            closing = self.peek()
-            if closing is None or closing.kind != "RPAREN":
-                raise ExpressionSyntaxError("expected ')'", closing.pos if closing else self.length)
-            self.take()
+            kind, pos, _ = self.tokens[self.at]
+            if kind != "RPAREN":
+                raise ExpressionSyntaxError("expected ')'", pos)
+            self.at += 1
             self.depth -= 1
             return inner
-        raise ExpressionSyntaxError(f"unexpected {tok.kind.lower()}", tok.pos)
+        if kind == "ZERO":
+            return ZeroLit()
+        if kind == "ONE":
+            return OneLit()
+        raise ExpressionSyntaxError(f"unexpected {kind.lower()}", pos)
 
 
 def parse(text: str, alphabet: Alphabet) -> Expression:
     """Parse expression text against a session alphabet."""
-    parser = _Parser(tokenize(text), alphabet, len(text))
+    parser = _Parser(text, alphabet)
     node = parser.expr()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise ExpressionSyntaxError(f"unexpected {leftover.kind.lower()} after expression", leftover.pos)
+    kind, pos, _ = parser.tokens[parser.at]
+    if kind != "END":
+        raise ExpressionSyntaxError(f"unexpected {kind.lower()} after expression", pos)
     return node
 
 
 def evaluate(expr: Expression, alphabet: Alphabet) -> Element:
-    """Fold a syntax tree down to one element."""
-    if isinstance(expr, ZeroLit):
+    """Evaluate a syntax tree: flatten it to one signed word, then rewrite
+    that word once with the stack pass of ``rewriting.reduce``.
+
+    The whole tree is walked even after a Zero leaf, so every leaf is
+    checked; a Literal's own letters are taken as they are.
+    """
+    word: List[int] = []
+    if _flatten((expr,), alphabet, word):
         return zero(alphabet)
-    if isinstance(expr, OneLit):
-        return one(alphabet)
-    if isinstance(expr, Generator):
-        return generator(alphabet, expr.index)
-    if isinstance(expr, Inverse):
-        # fold a chain of primes by parity, so long chains do not recurse
-        flips = 0
-        while isinstance(expr, Inverse):
-            expr, flips = expr.inner, flips + 1
-        x = evaluate(expr, alphabet)
-        return x.inverse() if flips % 2 else x
-    if isinstance(expr, Product):
-        acc = one(alphabet)
-        for f in expr.factors:
-            acc = acc * evaluate(f, alphabet)
-        return acc
-    if isinstance(expr, Literal):
-        if expr.value.alphabet != alphabet:
-            raise AlphabetMismatch(f"literal over {expr.value.alphabet}, session over {alphabet}")
-        return expr.value
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _stack_pass(alphabet, word)
+
+
+def _flatten(nodes: Iterable[Expression], alphabet: Alphabet, out: List[int]) -> bool:
+    """Append the signed word of each node to ``out``, left to right, in
+    the encoding of ``rewriting``; True when some leaf is Zero."""
+    is_zero = False
+    for node in nodes:
+        odd = False  # fold a chain of primes by parity
+        while isinstance(node, Inverse):
+            node, odd = node.inner, not odd
+        if isinstance(node, Generator):
+            i = node.index
+            if i not in alphabet:
+                raise UnknownLetter(f"letter index {i} not in alphabet of size {alphabet.size}")
+            out.append(-i - 1 if odd else i + 1)
+        elif odd:
+            # the inverse of a word is its mirror image with every sign flipped
+            group: List[int] = []
+            is_zero |= _flatten((node,), alphabet, group)
+            out.extend([-s for s in reversed(group)])
+        elif isinstance(node, Product):
+            is_zero |= _flatten(node.factors, alphabet, out)
+        elif isinstance(node, OneLit):
+            pass
+        elif isinstance(node, ZeroLit):
+            is_zero = True
+        elif isinstance(node, Literal):
+            x = node.value
+            if x.alphabet != alphabet:
+                raise AlphabetMismatch(f"literal over {x.alphabet}, session over {alphabet}")
+            if x.is_zero:
+                is_zero = True
+            else:
+                out.extend(free_word(x))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return is_zero
 
 
 def parse_positive_word(text: str, alphabet: Alphabet) -> Word:
     """Letters-only text (e.g. 'ca') to a positive word; '' is the empty word."""
     letters = []
-    for tok in tokenize(text):
-        if tok.kind != "LETTER":
-            raise ExpressionSyntaxError("positive words are letters only", tok.pos)
-        if tok.index not in alphabet:
+    for kind, pos, index in tokenize(text):
+        if kind != "LETTER":
+            raise ExpressionSyntaxError("positive words are letters only", pos)
+        if index not in alphabet:
             raise UnknownLetter(
-                f"letter {letter_name(tok.index)} (position {tok.pos}) not in alphabet of size {alphabet.size}"
+                f"letter {letter_name(index)} (position {pos}) not in alphabet of size {alphabet.size}"
             )
-        letters.append(tok.index)
+        letters.append(index)
     return tuple(letters)

@@ -8,8 +8,9 @@ from typing import Dict, Optional, Tuple
 
 from hypothesis import strategies as st
 
-from polymon import Alphabet, AlphabetMismatch, EqualPair, Element, ball, multiplier_pool, one, zero
+from polymon import Alphabet, AlphabetMismatch, EqualPair, Element, ball, generator, multiplier_pool, one, zero
 from polymon.core import elements_of_size
+from polymon.parsing import Expression, Generator, Inverse, Literal, OneLit, Product, ZeroLit
 from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
 
 
@@ -119,3 +120,31 @@ def _chain_elements(parent: dict, seed: Tuple[Element, Element], final: Tuple[El
         state = prev
     hops.append(DerivationStep(SEED, seed))
     return Derivation(tuple(reversed(hops)))
+
+
+def evaluate_elements(expr: Expression, alphabet: Alphabet) -> Element:
+    """Oracle for ``parsing.evaluate``: fold the syntax tree bottom-up,
+    one ``Element`` per leaf and per partial product."""
+    if isinstance(expr, ZeroLit):
+        return zero(alphabet)
+    if isinstance(expr, OneLit):
+        return one(alphabet)
+    if isinstance(expr, Generator):
+        return generator(alphabet, expr.index)
+    if isinstance(expr, Inverse):
+        # fold a chain of primes by parity, so long chains do not recurse
+        flips = 0
+        while isinstance(expr, Inverse):
+            expr, flips = expr.inner, flips + 1
+        x = evaluate_elements(expr, alphabet)
+        return x.inverse() if flips % 2 else x
+    if isinstance(expr, Product):
+        acc = one(alphabet)
+        for f in expr.factors:
+            acc = acc * evaluate_elements(f, alphabet)
+        return acc
+    if isinstance(expr, Literal):
+        if expr.value.alphabet != alphabet:
+            raise AlphabetMismatch(f"literal over {expr.value.alphabet}, session over {alphabet}")
+        return expr.value
+    raise TypeError(f"not an expression node: {expr!r}")

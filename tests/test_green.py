@@ -183,6 +183,12 @@ def test_ball_shapes():
         ball(AB2, -1)
 
 
+@pytest.mark.parametrize("lam", [10**9, 10**30])
+def test_radius_0_ball_lists_no_letters(lam):
+    ab = Alphabet(lam)
+    assert ball(ab, 0).elements == (zero(ab), one(ab))
+
+
 def test_ball_membership_and_order():
     b2 = ball(AB2, 2)
     assert ZERO in b2 and ONE in b2 and A in b2
