@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .core import (
     Alphabet,
     Element,
+    NormalForm,
     Word,
     elements_of_size,
     enumeration_key,
@@ -105,8 +106,9 @@ def ball(alphabet: Alphabet, n: int) -> Ball:
     return Ball(alphabet, n, tuple(members))
 
 
-def _solve_left(a: Element, c: Element) -> Iterator[Element]:
-    """Every y with a*y = c, for nonzero a = (u_a, v_a) and c = (u_c, v_c).
+def _solve_left(ua: Word, va: Word, uc: Word, vc: Word) -> Iterator[NormalForm]:
+    """Every y = (p, q) with (ua, va) * y = (uc, vc), as bare pairs, for
+    nonzero a = (u_a, v_a) and c = (u_c, v_c).
 
     Read off the closed form of ``*``: either y = (p, q) with p a suffix
     of v_a, so v_a = w + p, u_c = u_a and v_c = w + q, one y per split of
@@ -114,33 +116,34 @@ def _solve_left(a: Element, c: Element) -> Iterator[Element]:
     p = s + v_a with s non-empty, and then c = (s + u_a, q).  At most
     |v_a| + 2 solutions, using only letters of a and c.
     """
-    ua, va, uc, vc = a.u, a.v, c.u, c.v
     if uc == ua:
         for k in range(len(va) + 1):
             if vc[:k] != va[:k]:
                 break
-            yield Element(a.alphabet, va[k:], vc[k:])
+            yield va[k:], vc[k:]
     cut = len(uc) - len(ua)
     if cut > 0 and uc[cut:] == ua:
-        yield Element(a.alphabet, uc[:cut] + va, vc)
+        yield uc[:cut] + va, vc
 
 
 def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
     """Exact solution set {x != 0 : a*x*b = c}, in enumeration order.
 
-    Closed form in two one-sided solves: every y with a*y = c, then every
-    x with x*b = y, found as the inverses of the x' with b'*x' = y'.  A
-    nonzero c forces y = x*b, so distinct y give disjoint sets of x, and
-    there are at most (|v_a| + 2) * (|u_b| + 2) solutions, each using
-    only letters of a, b and c.
+    Closed form in two one-sided solves on bare pairs: every y with
+    a*y = c, then every x with x*b = y, found as the inverses of the x'
+    with b'*x' = y'.  A nonzero c forces y = x*b, so distinct y give
+    disjoint sets of x, and there are at most (|v_a| + 2) * (|u_b| + 2)
+    solutions, each using only letters of a, b and c.
     """
     for e in (a, b, c):
         if e.is_zero:
             raise ZeroArgument("solver needs nonzero a, b, c; the solution set at c = 0 is infinite")
     if not (a.alphabet == b.alphabet == c.alphabet):
         raise AlphabetMismatch("solver arguments over different alphabets")
-    b_inv = b.inverse()
-    solutions = [x.inverse() for y in _solve_left(a, c) for x in _solve_left(b_inv, y.inverse())]
+    # x' = (p, q) solves b'*x' = y' exactly when x = (q, p) solves x*b = y
+    solutions = [Element(a.alphabet, q, p)
+                 for yu, yv in _solve_left(a.u, a.v, c.u, c.v)
+                 for p, q in _solve_left(b.v, b.u, yv, yu)]
     return sorted(solutions, key=enumeration_key)
 
 

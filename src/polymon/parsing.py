@@ -8,8 +8,8 @@ Grammar (whitespace insignificant between tokens):
     atom    := '0' | '1' | letter | '(' expr ')'
     letter  := 'a'..'z' | 'g' digits       g26, g27, ... index past z
 
-A bare 'g' is letter 6; 'g' followed by digits is the letter with that
-index.  Letter indices are checked against the session alphabet while
+A bare 'g' is letter 6; 'g' followed by ASCII digits 0-9 is the letter
+with that index.  Letter indices are checked against the session alphabet while
 parsing, so an out-of-range letter fails before evaluation.  Parentheses
 nest at most ``MAX_NESTING`` deep.  ``tokenize`` yields plain
 (kind, position, letter index) tuples; ``parse`` builds the public
@@ -46,9 +46,10 @@ def tokenize(text: str) -> List[Token]:
     while i < n:
         c = text[i]
         if "a" <= c <= "z":
-            if c == "g" and i + 1 < n and text[i + 1].isdigit():
+            # ASCII digits only: str.isdigit also takes "²" and "١"
+            if c == "g" and i + 1 < n and "0" <= text[i + 1] <= "9":
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 out.append(("LETTER", i, int(text[i + 1:j])))
                 i = j

@@ -8,10 +8,12 @@ check here is exact and finite.
 In this model each one-sided translation x -> a*x and x -> x*a is
 continuous: ``shrink_neighborhood`` produces, for a target neighborhood
 U of Zero, a smaller V whose image under both translations stays in U,
-using the closed-form equation solver to know exactly which points to
-drop.  ``certify_translations`` re-checks a proposed shrink with ``*``
-on exactly those points, the only ones that can fail, so it never
-enumerates a ball; the test suite compares it with a ball scan.
+using the closed-form one-sided solver on bare (u, v) pairs to know
+exactly which points to drop.  ``certify_translations`` does not call
+the shrink: it re-solves the same equations on bare pairs and checks
+with ``*`` those a proposed shrink keeps, the only points that can
+fail, so it never enumerates a ball; the test suite compares it with a
+ball scan.
 Multiplication as a function of two variables is not continuous at
 (0, 0): ``joint_discontinuity_family`` returns arbitrarily deep pairs of
 factors, both marching to Zero, whose products all equal a fixed nonzero
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple
 
-from .core import Alphabet, Element, enumeration_key, one
+from .core import Alphabet, Element, NormalForm, enumeration_key
 from .errors import (
     AlphabetMismatch,
     InfiniteAlphabet,
@@ -31,7 +33,7 @@ from .errors import (
     ZeroArgument,
     ZeroTarget,
 )
-from .green import solve_axb
+from .green import _solve_left
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,24 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
     return CofiniteNbhd(alphabet, frozenset(excluded))
 
 
+def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
+    """Bare pairs x with a*x or x*a excluded, for nonzero a: the left
+    solves a*x = f, and the left solves a'*x' = f' read back as x*a = f,
+    for each excluded f."""
+    ua, va = a.u, a.v
+    found: Set[NormalForm] = set()
+    for f in nbhd.excluded:
+        found.update(_solve_left(ua, va, f.u, f.v))
+        found.update((q, p) for p, q in _solve_left(va, ua, f.v, f.u))
+    return found
+
+
 def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
     """V such that a*x and x*a land in the given neighborhood for every
     x in V: drop every solution of a*x = f or x*a = f with f excluded.
 
     Each excluded f adds at most |a| + 2 solutions per side, found by the
-    closed-form solver in O(|a|) splits, so the shrink costs
+    closed-form one-sided solver in O(|a|) splits, so the shrink costs
     O(|excluded| * |a|) and the result stays that small.
 
     For a = Zero both translations are constantly Zero, so the input
@@ -84,11 +98,8 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
         return nbhd
     if a.alphabet != nbhd.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
-    unit = one(a.alphabet)
     dropped = set(nbhd.excluded)
-    for f in nbhd.excluded:
-        dropped.update(solve_axb(a, unit, f))
-        dropped.update(solve_axb(unit, a, f))
+    dropped.update(Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd))
     return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))
 
 
@@ -99,12 +110,12 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     in enumeration order of x and "left" before "right" for each x.
 
     A counterexample has a*x = f or x*a = f for an excluded f, so it is
-    one of the points ``shrink_neighborhood(a, nbhd)`` drops.  Those are
-    the only candidates, and each is checked with ``*``; no ball is
-    built, so the cost is that of the shrink at any radius.  Hence
-    ``certify_translations(a, U, shrink_neighborhood(a, U), r)`` is []
-    by construction: the independent check of the shrink is the ball
-    scan the test suite keeps as its oracle.
+    one of the bare pairs the one-sided solver returns for those
+    equations.  Those pairs are re-solved here, not taken from a shrink;
+    the ones within the radius that ``shrunk`` keeps are the only
+    candidates, and each is checked with ``*``.  No ball is built, so
+    the cost is that of the solves at any radius.  The independent check
+    is the ball scan the test suite keeps as its oracle.
 
     Like that scan, this needs a finite alphabet, a nonnegative radius
     and a over the neighborhood's alphabet.
@@ -115,9 +126,11 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if a.alphabet != nbhd.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
-    candidates = [x for x in shrink_neighborhood(a, nbhd).excluded if x.size <= radius and x in shrunk]
+    if a.is_zero:
+        return []
+    points = (Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd) if len(u) + len(v) <= radius)
     bad: List[tuple] = []
-    for x in sorted(candidates, key=enumeration_key):
+    for x in sorted((x for x in points if x in shrunk), key=enumeration_key):
         lhs = a * x
         if lhs not in nbhd:
             bad.append((x, "left", lhs))

@@ -8,7 +8,19 @@ from typing import Dict, Optional, Tuple
 
 from hypothesis import strategies as st
 
-from polymon import Alphabet, AlphabetMismatch, EqualPair, Element, ball, generator, multiplier_pool, one, zero
+from polymon import (
+    Alphabet,
+    AlphabetMismatch,
+    CofiniteNbhd,
+    EqualPair,
+    Element,
+    ball,
+    generator,
+    multiplier_pool,
+    one,
+    solve_axb,
+    zero,
+)
 from polymon.core import elements_of_size
 from polymon.parsing import Expression, Generator, Inverse, Literal, OneLit, Product, ZeroLit
 from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
@@ -53,6 +65,43 @@ def solve_axb_enumerate(a: Element, b: Element, c: Element) -> list:
                 assert total <= bound, f"solution {x} of size {total} above bound {bound}"
                 solutions.append(x)
     return solutions
+
+
+def shrink_neighborhood_solve(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
+    """Oracle for ``shrink_neighborhood``: drop the solutions of
+    a*x*1 = f and 1*x*a = f for every excluded f, each found by the
+    two-sided ``solve_axb`` as ``Element``s."""
+    if a.is_zero:
+        return nbhd
+    if a.alphabet != nbhd.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
+    unit = one(a.alphabet)
+    dropped = set(nbhd.excluded)
+    for f in nbhd.excluded:
+        dropped.update(solve_axb(a, unit, f))
+        dropped.update(solve_axb(unit, a, f))
+    return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))
+
+
+def shrink_neighborhood_enumerate(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
+    """Brute-force oracle for ``shrink_neighborhood`` over a finite
+    alphabet: the excluded set plus every nonzero x with a*x or x*a
+    excluded, found by direct multiplication over the whole alphabet.
+
+    A solution of a*x = f or x*a = f has size at most B = |a| + max |f|,
+    by the closed form of ``*``.  The band B < |x| <= B + 2 is scanned too
+    and must come back empty, so a wrong bound fails loudly instead of
+    silently truncating the answer.
+    """
+    letters = list(nbhd.alphabet.letters())
+    bound = a.size + max((f.size for f in nbhd.excluded), default=0)
+    dropped = set(nbhd.excluded)
+    for total in range(bound + 3):
+        for x in elements_of_size(nbhd.alphabet, letters, total):
+            if a * x in nbhd.excluded or x * a in nbhd.excluded:
+                assert total <= bound, f"solution {x} of size {total} above bound {bound}"
+                dropped.add(x)
+    return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))
 
 
 def certify_translations_enumerate(a: Element, nbhd, shrunk, radius: int) -> list:

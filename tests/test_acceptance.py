@@ -1,7 +1,8 @@
 """End-to-end gate: every advertised guarantee, one pass/fail line each.
 
-Each test prints its verdict unconditionally (bypassing capture), so a
-plain `pytest tests/test_acceptance.py` shows the full scoreboard.
+Each test prints its verdict unconditionally (bypassing capture), ending
+in the gate's wall time, so a plain `pytest tests/test_acceptance.py`
+shows the full scoreboard.
 """
 
 import json
@@ -44,7 +45,11 @@ AB3 = Alphabet(3)
 
 @pytest.fixture
 def report(capsys):
+    """Print one verdict line, suffixed with the seconds since the gate began."""
+    started = time.perf_counter()
+
     def _report(ok: bool, label: str) -> None:
+        label = f"{label}, {time.perf_counter() - started:.2f}s"
         with capsys.disabled():
             print(f"[{'PASS' if ok else 'FAIL'}] {label}", flush=True)
         assert ok, label
@@ -70,7 +75,7 @@ def test_01_product_oracle_agreement(report):
     report(
         mismatches == 0 and elapsed < 5.0,
         f"products: closed form == rewriting oracle on {len(b3) ** 2} exhaustive + 100000 random "
-        f"pairs, {mismatches} mismatches, {elapsed:.2f}s",
+        f"pairs, {mismatches} mismatches",
     )
 
 
@@ -83,7 +88,7 @@ def test_02_associativity_exhaustive(report):
     elapsed = time.perf_counter() - started
     report(
         failures == 0 and elapsed < 5.0,
-        f"associativity: all {len(b2) ** 3} radius-2 triples, {failures} failures, {elapsed:.2f}s",
+        f"associativity: all {len(b2) ** 3} radius-2 triples, {failures} failures",
     )
 
 

@@ -64,6 +64,11 @@ def test_syntax_error_exits_2(capsys):
     assert "syntax error" in err
 
 
+def test_non_ascii_digits_are_a_syntax_error(capsys):
+    assert run(capsys, "eval", "g²") == (2, "", "syntax error: unexpected character '²' (position 1)\n")
+    assert run(capsys, "eval", "g١", "--lambda", "3") == (2, "", "syntax error: unexpected character '١' (position 1)\n")
+
+
 def test_unknown_letter_exits_1(capsys):
     code, _, err = run(capsys, "eval", "c")
     assert code == 1 and "letter c" in err
@@ -353,6 +358,14 @@ def test_repl(monkeypatch, capsys):
     assert code == 0
     assert captured.out == "1\n"
     assert "error" in captured.err
+
+
+def test_repl_survives_a_bad_digit(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\ng²\nb\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "a\nb\n")
+    assert captured.err == "error: unexpected character '²' (position 1)\n"
 
 
 def test_repl_eof_ends(monkeypatch, capsys):

@@ -149,6 +149,12 @@ def test_tokens_are_plain_tuples():
     assert all(type(tok) is tuple for tok in tokenize("(0 1)*b"))
 
 
+def test_letter_index_takes_ascii_digits_only():
+    for text in ("g²", "g١", "g1²"):
+        with pytest.raises(ExpressionSyntaxError, match=f"^unexpected character '{text[-1]}' \\(position {len(text) - 1}\\)$"):
+            tokenize(text)
+
+
 def test_unchecked_literal_letter_evaluates_as_before():
     f = Element(AB2, (), (5,))  # direct construction skips the letter check
     with pytest.raises(UnknownLetter):

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from helpers import certify_translations_enumerate
+from helpers import certify_translations_enumerate, shrink_neighborhood_enumerate, shrink_neighborhood_solve
 from polymon import (
     Alphabet,
     AlphabetMismatch,
     CofiniteNbhd,
+    Element,
     InfiniteAlphabet,
     RadiusTooSmall,
     WitnessFamily,
@@ -80,6 +81,36 @@ def test_shrink_by_generator():
         if x in V:
             assert A * x != ONE
             assert x * A != ONE
+
+
+def _sample(rng: random.Random, ab: Alphabet, radius: int):
+    """Zero one time in twenty, else a random (u, v) of size at most
+    radius over the first (at most five) letters."""
+    if rng.random() < 0.05:
+        return zero(ab)
+    letters, total = min(ab.size or 5, 5), rng.randint(0, radius)
+    ulen = rng.randint(0, total)
+    u = tuple(rng.randrange(letters) for _ in range(ulen))
+    v = tuple(rng.randrange(letters) for _ in range(total - ulen))
+    return Element(ab, u, v)
+
+
+def test_shrink_matches_oracles():
+    # exact neighborhoods: the solve_axb-based shrink everywhere, the ball scan on finite alphabets
+    rng = random.Random(43)
+    cases = dropped = 0
+    for lam, radius, rounds in ((2, 3, 60), (3, 2, 40), (None, 4, 300)):
+        ab = Alphabet(lam)
+        for _ in range(rounds):
+            a = _sample(rng, ab, radius)
+            U = cofinite(ab, [f for f in (_sample(rng, ab, radius) for _ in range(rng.randint(0, 6))) if not f.is_zero])
+            V = shrink_neighborhood(a, U)
+            assert V == shrink_neighborhood_solve(a, U)
+            if lam is not None:
+                assert V == shrink_neighborhood_enumerate(a, U)
+            cases += 1
+            dropped += len(V.excluded) - len(U.excluded)
+    assert (cases, dropped) == (400, 641)
 
 
 def test_shrink_certificates_on_small_ball():
