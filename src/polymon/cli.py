@@ -40,10 +40,6 @@ MAX_WITNESS_PAIRS = 1000
 MAX_COLLAPSE_DEPTH = 16
 
 
-class UsageError(Exception):
-    """Malformed invocation below argparse's radar; exits 2."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lambda", dest="alphabet", type=make_alphabet, default="2", metavar="N|inf",
@@ -83,11 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default="",
                    help="comma-separated expressions excluded by the target neighborhood")
     p.add_argument("--radius", type=int, default=6,
-                   help="ball radius for certificate verification (default 6)")
+                   help="largest size |x| the certificate checks (default 6)")
 
     p = sub.add_parser("witness", parents=[common],
                        help=f"joint-discontinuity pairs for a target: witness [C] K, K at most {MAX_WITNESS_PAIRS}")
-    p.add_argument("args", nargs="+", metavar="[C] K")
+    p.add_argument("c", nargs="?", metavar="C")
+    p.add_argument("k", type=int, metavar="K")
 
     p = sub.add_parser("collapse", parents=[common],
                        help="derive (0, 1) from identifying A with B")
@@ -159,14 +156,13 @@ def _run(args, alphabet: Alphabet) -> int:
 
 def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) -> None:
     """Reject a radius whose ball, counted per_element times, exceeds
-    MAX_BALL_ELEMENTS.  Building a ball lists all lambda letters even at
-    radius 0, so lambda counts as well.  Infinite alphabets and negative
-    radii are left to ``ball`` to reject."""
+    MAX_BALL_ELEMENTS.  Infinite alphabets and negative radii are left
+    to ``ball`` to reject."""
     lam = alphabet.size
     if lam is None or radius < 0:
         return
     # |ball(n)| >= 2**n, so any radius past the cap's bit length is over it
-    count = max(lam, ball_cardinality(lam, min(radius, MAX_BALL_ELEMENTS.bit_length()))) * per_element
+    count = ball_cardinality(lam, min(radius, MAX_BALL_ELEMENTS.bit_length())) * per_element
     if count > MAX_BALL_ELEMENTS:
         raise ValueError(f"radius {radius} over {lam} letters is above the cap of {MAX_BALL_ELEMENTS} {what}")
 
@@ -206,17 +202,10 @@ def _continuity(args, alphabet: Alphabet) -> int:
 
 
 def _witness(args, alphabet: Alphabet) -> int:
-    if len(args.args) > 2:
-        raise UsageError("witness takes an optional target and a count: witness [C] K")
-    k_text = args.args[-1]
-    try:
-        k = int(k_text)
-    except ValueError:
-        raise UsageError(f"K must be an integer, got {k_text!r}")
-    if k > MAX_WITNESS_PAIRS:
-        raise ValueError(f"K = {k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
-    c = _eval(args.args[0], alphabet) if len(args.args) == 2 else one(alphabet)
-    family = joint_discontinuity_family(c, k)
+    if args.k > MAX_WITNESS_PAIRS:
+        raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
+    c = one(alphabet) if args.c is None else _eval(args.c, alphabet)
+    family = joint_discontinuity_family(c, args.k)
     text = "\n".join(f"{a} {b}" for a, b in family.pairs)
     _emit(args, text, family.to_json())
     return 0
@@ -234,8 +223,6 @@ def _collapse(args, alphabet: Alphabet) -> int:
         head = step.rule
         if step.by is not None:
             head += f" {step.by}"
-        if step.sources is not None:
-            head += " {},{}".format(*step.sources)
         lines.append(f"{head}: {step.pair[0]} ~ {step.pair[1]}")
     _emit(args, "\n".join(lines),
           {"found": True, "depth": derivation.depth, "steps": derivation.to_json()["steps"]})
@@ -244,12 +231,15 @@ def _collapse(args, alphabet: Alphabet) -> int:
 
 def _export_dot(args, alphabet: Alphabet) -> int:
     _check_ball(alphabet, args.radius, "edges", alphabet.size or 1)
-    dot = cayley_dot(ball(alphabet, args.radius))
+    b = ball(alphabet, args.radius)
+    dot = cayley_dot(b)
     with open(args.file, "w") as fh:
         fh.write(dot)
-    lines = dot.splitlines()
-    n_edges = sum(1 for l in lines if "->" in l)
-    n_nodes = sum(1 for l in lines if "label=" in l and "->" not in l)
+    # one edge x -> x*g per element and letter; x*g leaves the ball
+    # exactly for the (r + 1) * lam**r elements x of size r
+    lam, r = alphabet.size, args.radius
+    n_edges = len(b) * lam
+    n_nodes = len(b) + (r + 1) * lam ** (r + 1)
     _emit(args, f"wrote {args.file}: {n_nodes} nodes, {n_edges} edges",
           {"file": args.file, "nodes": n_nodes, "edges": n_edges})
     return 0
@@ -280,9 +270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run(args, args.alphabet)
     except ExpressionSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
-        return 2
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (PolymonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

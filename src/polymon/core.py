@@ -86,11 +86,14 @@ class Alphabet:
     Sizes below 2 are rejected: with one generator the relations force
     the structure down to something degenerate (the bicyclic pattern),
     and the normal-form machinery here is built for the general case.
+    A size that is neither an int nor None is rejected as well.
     """
 
     size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.size is not None and not isinstance(self.size, int):
+            raise TypeError(f"alphabet size must be an int or None, got {self.size!r}")
         if self.size is not None and self.size < 2:
             raise TooFewGenerators(f"alphabet needs at least 2 letters, got {self.size}")
 

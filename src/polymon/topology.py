@@ -12,8 +12,8 @@ using the closed-form one-sided solver on bare (u, v) pairs to know
 exactly which points to drop.  ``certify_translations`` does not call
 the shrink: it re-solves the same equations on bare pairs and checks
 with ``*`` those a proposed shrink keeps, the only points that can
-fail, so it never enumerates a ball; the test suite compares it with a
-ball scan.
+fail.  Neither enumerates a ball, so both work over the countable
+alphabet too; the test suite compares them with a ball scan.
 Multiplication as a function of two variables is not continuous at
 (0, 0): ``joint_discontinuity_family`` returns arbitrarily deep pairs of
 factors, both marching to Zero, whose products all equal a fixed nonzero
@@ -72,11 +72,16 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
 
 
 def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
-    """Bare pairs x with a*x or x*a excluded, for nonzero a: the left
-    solves a*x = f, and the left solves a'*x' = f' read back as x*a = f,
-    for each excluded f."""
-    ua, va = a.u, a.v
+    """Bare pairs x with a*x or x*a excluded: the left solves a*x = f,
+    and the left solves a'*x' = f' read back as x*a = f, for each
+    excluded f.  Empty for a = Zero, whose translations are constantly
+    Zero; a must be over the neighborhood's alphabet."""
+    if a.alphabet != nbhd.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
     found: Set[NormalForm] = set()
+    if a.is_zero:
+        return found
+    ua, va = a.u, a.v
     for f in nbhd.excluded:
         found.update(_solve_left(ua, va, f.u, f.v))
         found.update((q, p) for p, q in _solve_left(va, ua, f.v, f.u))
@@ -89,15 +94,13 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
 
     Each excluded f adds at most |a| + 2 solutions per side, found by the
     closed-form one-sided solver in O(|a|) splits, so the shrink costs
-    O(|excluded| * |a|) and the result stays that small.
+    O(|excluded| * |a|) and the result stays that small.  The solutions
+    use only letters of a and f, so the countable alphabet works too.
 
-    For a = Zero both translations are constantly Zero, so the input
-    neighborhood already certifies itself and is returned unchanged.
+    For a = Zero both translations are constantly Zero and nothing is
+    dropped.  Like the certificate, this needs a over the neighborhood's
+    alphabet.
     """
-    if a.is_zero:
-        return nbhd
-    if a.alphabet != nbhd.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
     dropped = set(nbhd.excluded)
     dropped.update(Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd))
     return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))
@@ -114,20 +117,13 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     equations.  Those pairs are re-solved here, not taken from a shrink;
     the ones within the radius that ``shrunk`` keeps are the only
     candidates, and each is checked with ``*``.  No ball is built, so
-    the cost is that of the solves at any radius.  The independent check
-    is the ball scan the test suite keeps as its oracle.
+    the cost is that of the solves at any radius, over any alphabet.  The
+    independent check is the ball scan the test suite keeps as its oracle.
 
-    Like that scan, this needs a finite alphabet, a nonnegative radius
-    and a over the neighborhood's alphabet.
+    Needs a nonnegative radius and a over the neighborhood's alphabet.
     """
-    if not nbhd.alphabet.is_finite:
-        raise InfiniteAlphabet("balls are finite only over finite alphabets")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if a.alphabet != nbhd.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
-    if a.is_zero:
-        return []
     points = (Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd) if len(u) + len(v) <= radius)
     bad: List[tuple] = []
     for x in sorted((x for x in points if x in shrunk), key=enumeration_key):

@@ -155,7 +155,7 @@ def test_ball_negative_radius_exits_1(capsys):
 
 
 def test_ball_over_cap_exits_1(capsys, monkeypatch):
-    for argv in (["ball", "16"], ["ball", str(10**30)], ["ball", "0", "--lambda", str(10**12)]):
+    for argv in (["ball", "16"], ["ball", str(10**30)]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and f"cap of {MAX_BALL_ELEMENTS} elements" in err
@@ -163,6 +163,14 @@ def test_ball_over_cap_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_BALL_ELEMENTS", 18)
     assert run(capsys, "ball", "2")[0] == 0  # exactly 18 elements
     assert run(capsys, "ball", "3")[0] == 1
+
+
+def test_ball_zero_over_a_huge_alphabet(tmp_path, capsys):
+    # ball(0) lists no letters, but the DOT export draws an edge per letter
+    assert run(capsys, "ball", "0", "--lambda", str(10**12)) == (0, "0\n1\n", "")
+    code, out, err = run(capsys, "export-dot", "0", str(tmp_path / "x.dot"), "--lambda", str(10**12))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"cap of {MAX_BALL_ELEMENTS} edges" in err
 
 
 def test_witness_zero_count_exits_1(capsys):
@@ -223,6 +231,14 @@ def test_continuity_empty_exclusion(capsys):
     assert "excluded input: none" in out
 
 
+def test_continuity_over_the_countable_alphabet(capsys):
+    argv = ["continuity", "a", "--exclude", "1,b", "--radius", "4"]
+    code, out, err = run(capsys, *argv, "--lambda", "inf")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv, "--lambda", "2")[1]
+    assert "excluded output: 1, b, a', a'b\n" in out and "counterexamples: none\n" in out
+
+
 def test_continuity_huge_radius(capsys):
     code, out, err = run(capsys, "continuity", "a", "--exclude", "1", "--radius", "1000")
     assert (code, err) == (0, "")
@@ -248,10 +264,12 @@ def test_witness_json(capsys):
 
 
 def test_witness_usage_errors(capsys):
-    code, _, err = run(capsys, "witness", "a", "b", "3")
-    assert code == 2 and "usage error" in err
-    code, _, err = run(capsys, "witness", "1", "k")
-    assert code == 2 and "usage error" in err
+    for argv, message in ((["a", "b", "3"], "invalid int value: 'b'"), (["1", "k"], "invalid int value: 'k'"),
+                          (["1", "2", "3"], "unrecognized arguments: 3"), ([], "required: K")):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_witness_over_cap_exits_1(capsys):
@@ -320,6 +338,17 @@ def test_export_dot(tmp_path, capsys):
     assert out == f"wrote {target}: 14 nodes, 12 edges\n"
     text = target.read_text()
     assert text.startswith("digraph") and text.endswith("}\n")
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_export_dot_counts_match_the_file(tmp_path, capsys, lam, radius):
+    target = tmp_path / "c.dot"
+    code, out, _ = run(capsys, "export-dot", str(radius), str(target), "--lambda", str(lam), "--format", "json")
+    lines = target.read_text().splitlines()
+    edges = sum(1 for line in lines if "->" in line)
+    nodes = sum(1 for line in lines if "label=" in line and "->" not in line)
+    assert (code, json.loads(out)) == (0, {"file": str(target), "nodes": nodes, "edges": edges})
 
 
 def test_export_dot_json(tmp_path, capsys):

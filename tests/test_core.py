@@ -40,6 +40,13 @@ def test_alphabet_bounds():
             Alphabet(bad)
 
 
+def test_alphabet_size_must_be_an_int():
+    # a float size would admit letter c below 2.5 and break ``ball``
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="^alphabet size must be an int or None, got "):
+            Alphabet(bad)
+
+
 def test_make_alphabet_accepts_inf():
     assert make_alphabet("inf") == Alphabet(None)
     assert make_alphabet(None) == Alphabet(None)

@@ -155,13 +155,48 @@ def test_certify_matches_ball_scan():
 def test_certify_errors_keep_their_messages():
     U = cofinite(AB2, [ONE])
     inf = Alphabet(None)
-    with pytest.raises(InfiniteAlphabet, match="^balls are finite only over finite alphabets$"):
-        certify_translations(generator(inf, 0), cofinite(inf), cofinite(inf), 2)
-    with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
-        certify_translations(A, U, U, -1)
+    for a, nbhd in ((A, U), (generator(inf, 0), cofinite(inf))):
+        with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
+            certify_translations(a, nbhd, nbhd, -1)
+    # the shrink checks the alphabet before it treats a Zero translation
     for a in (generator(Alphabet(3), 0), zero(Alphabet(3))):
         with pytest.raises(AlphabetMismatch, match=r"^Alphabet\(size=3\) vs Alphabet\(size=2\)$"):
             certify_translations(a, U, U, 2)
+        with pytest.raises(AlphabetMismatch, match=r"^Alphabet\(size=3\) vs Alphabet\(size=2\)$"):
+            shrink_neighborhood(a, U)
+
+
+def _bare(x: Element):
+    return x.u, x.v
+
+
+def test_countable_alphabet_matches_finite():
+    # shrink and certify solve with letters of a and the excluded f only,
+    # so over the countable alphabet they return the same bare pairs
+    rng = random.Random(47)
+    inf = Alphabet(None)
+
+    def lift(x: Element) -> Element:
+        return zero(inf) if x.is_zero else Element(inf, x.u, x.v)
+
+    cases = flagged = 0
+    for lam in (2, 3):
+        ab = Alphabet(lam)
+        for _ in range(150):
+            a = _sample(rng, ab, 3)
+            U = cofinite(ab, [f for f in (_sample(rng, ab, 3) for _ in range(rng.randint(0, 6))) if not f.is_zero])
+            V = shrink_neighborhood(a, U)
+            a_inf, U_inf = lift(a), cofinite(inf, map(lift, U.excluded))
+            assert {_bare(x) for x in shrink_neighborhood(a_inf, U_inf).excluded} == {_bare(x) for x in V.excluded}
+            dropped = V.excluded_sorted()
+            for shrunk in (V, U, cofinite(ab, rng.sample(dropped, len(dropped) // 2))):
+                radius = rng.randint(0, 6)
+                want = [(_bare(x), side, _bare(p)) for x, side, p in certify_translations(a, U, shrunk, radius)]
+                got = certify_translations(a_inf, U_inf, cofinite(inf, map(lift, shrunk.excluded)), radius)
+                assert [(_bare(x), side, _bare(p)) for x, side, p in got] == want
+                cases += 1
+                flagged += bool(want)
+    assert (cases, flagged) == (900, 257)
 
 
 def test_certify_zero_translation_is_empty():
