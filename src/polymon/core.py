@@ -86,13 +86,14 @@ class Alphabet:
     Sizes below 2 are rejected: with one generator the relations force
     the structure down to something degenerate (the bicyclic pattern),
     and the normal-form machinery here is built for the general case.
-    A size that is neither an int nor None is rejected as well.
+    A size that is neither an int nor None is rejected as well, and so is
+    a bool, which Python counts as an int; a bool is no letter either.
     """
 
     size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.size is not None and not isinstance(self.size, int):
+        if self.size is not None and (not isinstance(self.size, int) or type(self.size) is bool):
             raise TypeError(f"alphabet size must be an int or None, got {self.size!r}")
         if self.size is not None and self.size < 2:
             raise TooFewGenerators(f"alphabet needs at least 2 letters, got {self.size}")
@@ -102,7 +103,7 @@ class Alphabet:
         return self.size is not None
 
     def __contains__(self, letter: int) -> bool:
-        if not isinstance(letter, int) or letter < 0:
+        if not isinstance(letter, int) or type(letter) is bool or letter < 0:
             return False
         return self.size is None or letter < self.size
 
@@ -117,7 +118,7 @@ class Alphabet:
         w = tuple(word)
         for i in w:
             if i not in self:
-                raise UnknownLetter(f"letter {letter_name(i) if isinstance(i, int) else i!r} not in alphabet of size {self.size}")
+                raise UnknownLetter(f"letter {letter_name(i) if isinstance(i, int) and type(i) is not bool else i!r} not in alphabet of size {self.size}")
         return w
 
 

@@ -11,10 +11,10 @@ An (inverted, positive) junction like a' a is inert; that is exactly why
 irreducible words have the shape inverted* positive* and denote normal
 forms u'v, with u read in reverse from the inverted prefix.  ``reduce``
 checks every letter and then makes a single left-to-right stack pass;
-``parsing.evaluate`` runs the same pass on the word it flattens an
-expression to.  ``reduce_stepwise`` applies one redex at a time under a
-chosen strategy so tests can compare leftmost against rightmost and
-confirm the result is strategy-independent.
+``parsing.evaluate`` calls it on the word ``parsing.parse`` emits.
+``reduce_stepwise`` applies one redex at a time under a chosen strategy
+so tests can compare leftmost against rightmost and confirm the result
+is strategy-independent.
 
 ``collapse_witness`` searches the congruence generated by one pair for a
 derivation of (0, 1): identifying any two distinct elements collapses
@@ -68,7 +68,7 @@ def free_word(x: Element) -> FreeWord:
 def _checked(alphabet: Alphabet, word: Iterable[int]) -> List[int]:
     w = list(word)
     for s in w:
-        if s == 0 or letter_of(s) not in alphabet:
+        if s == 0 or type(s) is bool or letter_of(s) not in alphabet:
             raise UnknownLetter(f"signed letter {s} invalid for alphabet of size {alphabet.size}")
     return w
 
@@ -86,14 +86,8 @@ def _residue(alphabet: Alphabet, seq: Sequence[int]) -> Element:
 
 def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
     """Rewrite a signed word to Zero or its normal form (stack pass)."""
-    return _stack_pass(alphabet, _checked(alphabet, word))
-
-
-def _stack_pass(alphabet: Alphabet, word: Iterable[int]) -> Element:
-    # the rewriting itself, on signed letters the caller has vouched for;
-    # ``parsing.evaluate`` calls it on the word it flattens a tree to
     stack: List[int] = []
-    for s in word:
+    for s in _checked(alphabet, word):
         if s < 0 and stack and stack[-1] > 0:
             if stack[-1] == -s:
                 stack.pop()

@@ -22,7 +22,6 @@ from polymon import (
     zero,
 )
 from polymon.core import elements_of_size
-from polymon.parsing import Expression, Generator, Inverse, Literal, OneLit, Product, ZeroLit
 from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
 
 
@@ -171,29 +170,26 @@ def _chain_elements(parent: dict, seed: Tuple[Element, Element], final: Tuple[El
     return Derivation(tuple(reversed(hops)))
 
 
-def evaluate_elements(expr: Expression, alphabet: Alphabet) -> Element:
-    """Oracle for ``parsing.evaluate``: fold the syntax tree bottom-up,
-    one ``Element`` per leaf and per partial product."""
-    if isinstance(expr, ZeroLit):
+def evaluate_elements(tree: tuple, alphabet: Alphabet) -> Element:
+    """Oracle for ``evaluate(parse(text))``: fold the expression tree of
+    the text bottom-up, one ``Element`` per leaf and per partial product.
+    Trees are plain tuples: ("0",), ("1",), ("letter", i), ("inv", tree)
+    and ("mul", (tree, ...))."""
+    kind = tree[0]
+    if kind == "0":
         return zero(alphabet)
-    if isinstance(expr, OneLit):
+    if kind == "1":
         return one(alphabet)
-    if isinstance(expr, Generator):
-        return generator(alphabet, expr.index)
-    if isinstance(expr, Inverse):
+    if kind == "letter":
+        return generator(alphabet, tree[1])
+    if kind == "inv":
         # fold a chain of primes by parity, so long chains do not recurse
         flips = 0
-        while isinstance(expr, Inverse):
-            expr, flips = expr.inner, flips + 1
-        x = evaluate_elements(expr, alphabet)
+        while tree[0] == "inv":
+            tree, flips = tree[1], flips + 1
+        x = evaluate_elements(tree, alphabet)
         return x.inverse() if flips % 2 else x
-    if isinstance(expr, Product):
-        acc = one(alphabet)
-        for f in expr.factors:
-            acc = acc * evaluate_elements(f, alphabet)
-        return acc
-    if isinstance(expr, Literal):
-        if expr.value.alphabet != alphabet:
-            raise AlphabetMismatch(f"literal over {expr.value.alphabet}, session over {alphabet}")
-        return expr.value
-    raise TypeError(f"not an expression node: {expr!r}")
+    acc = one(alphabet)
+    for f in tree[1]:
+        acc = acc * evaluate_elements(f, alphabet)
+    return acc

@@ -22,6 +22,7 @@ from polymon import (
     make_alphabet,
     mul_oracle,
     one,
+    reduce,
     zero,
 )
 from polymon.core import elements_of_size, letter_name, mul_nf, render_word
@@ -45,6 +46,19 @@ def test_alphabet_size_must_be_an_int():
     for bad in (2.5, 3.0, "3"):
         with pytest.raises(TypeError, match="^alphabet size must be an int or None, got "):
             Alphabet(bad)
+
+
+def test_booleans_are_neither_letters_nor_sizes():
+    # bool subclasses int: True once read as letter b and built b' from JSON
+    with pytest.raises(UnknownLetter, match="^letter True not in alphabet of size 2$"):
+        from_json(AB2, {"u": [True], "v": []})
+    with pytest.raises(UnknownLetter):
+        generator(AB2, True)
+    assert False not in Alphabet(None)
+    with pytest.raises(UnknownLetter):
+        reduce(AB2, (True,))  # signed letters too: True once read as a
+    with pytest.raises(TypeError, match="^alphabet size must be an int or None, got True$"):
+        Alphabet(True)
 
 
 def test_make_alphabet_accepts_inf():

@@ -1,4 +1,4 @@
-"""Expression grammar: parse trees, evaluation, render round trips."""
+"""Expression grammar: signed words, evaluation, render round trips."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,24 +7,21 @@ from hypothesis import strategies as st
 from helpers import elements_st, evaluate_elements
 from polymon import (
     Alphabet,
-    AlphabetMismatch,
-    Element,
     ExpressionSyntaxError,
     PolymonError,
     UnknownLetter,
     ball,
     element,
     evaluate,
-    free_word,
     generator,
     one,
     parse,
     parse_positive_word,
-    reduce,
     zero,
 )
+from polymon import parsing
 from polymon.core import letter_name
-from polymon.parsing import MAX_NESTING, Generator, Inverse, Literal, OneLit, Product, ZeroLit, tokenize
+from polymon.parsing import MAX_NESTING, tokenize
 
 AB2 = Alphabet(2)
 AB3 = Alphabet(3)
@@ -66,8 +63,13 @@ def test_products_and_whitespace():
     assert ev("  a  '  b ") == a.inverse() * b
 
 
-def test_long_prime_chain_folds_by_parity():
+def test_long_prime_chain_folds_by_parity(monkeypatch):
     assert ev("a" + "'" * 5001) == generator(AB2, 0).inverse()
+    # 5001 primes mirror their term's word once, not 5001 times
+    mirrored = []
+    monkeypatch.setattr(parsing, "reversed", lambda w: mirrored.append(len(w)) or reversed(w), raising=False)
+    assert parse("(ab)" + "'" * 5001, AB2) == (-2, -1)
+    assert mirrored == [2]
 
 
 def test_postfix_binds_tighter_than_product():
@@ -77,17 +79,23 @@ def test_postfix_binds_tighter_than_product():
     assert ev("(ab)'") == b.inverse() * a.inverse()
 
 
-def test_parse_tree_shapes():
-    assert parse("a'b", AB2) == Product((Inverse(Generator(0)), Generator(1)))
-    assert parse("0", AB2) == ZeroLit()
+def test_parse_returns_signed_word():
+    assert parse("a'b", AB2) == (-1, 2)
+    assert parse("(ab)'", AB2) == (-2, -1)
+    assert parse("1", AB2) == ()
+    assert parse("0 a", AB2) is None
 
 
-def test_literal_leaf():
-    x = element(AB2, (0,), (1,))
-    assert evaluate(Literal(x), AB2) == x
-    assert evaluate(Product((Literal(x), Literal(x.inverse()))), AB2) == x * x.inverse()
-    with pytest.raises(AlphabetMismatch):
-        evaluate(Literal(x), AB3)
+def test_evaluate_none_is_zero():
+    for lam in (2, 3, None):
+        assert evaluate(None, Alphabet(lam)) == zero(Alphabet(lam))
+
+
+def test_evaluate_checks_every_letter():
+    with pytest.raises(UnknownLetter):
+        evaluate((6,), AB2)
+    with pytest.raises(UnknownLetter):
+        evaluate((1, -2, 6), AB2)  # the check runs before the pass finds Zero
 
 
 def test_syntax_errors_carry_position():
@@ -155,22 +163,12 @@ def test_letter_index_takes_ascii_digits_only():
             tokenize(text)
 
 
-def test_unchecked_literal_letter_evaluates_as_before():
-    f = Element(AB2, (), (5,))  # direct construction skips the letter check
-    with pytest.raises(UnknownLetter):
-        reduce(AB2, free_word(f))
-    assert evaluate(Literal(f), AB2) == f
-    assert str(evaluate(Literal(f), AB2)) == "f"
-    both = Product((Literal(f), Inverse(Literal(f)), Generator(1)))
-    assert evaluate(both, AB2) == evaluate_elements(both, AB2) == generator(AB2, 1)
-
-
 def test_zero_does_not_skip_later_checks():
-    with pytest.raises(AlphabetMismatch) as exc:
-        evaluate(Product((ZeroLit(), Literal(generator(AB3, 0)))), AB2)
-    assert str(exc.value) == "literal over Alphabet(size=3), session over Alphabet(size=2)"
-    with pytest.raises(TypeError):
-        evaluate(Product((ZeroLit(), object())), AB2)
+    with pytest.raises(UnknownLetter, match=r"^letter c \(position 2\) not in alphabet of size 2$"):
+        parse("0 c", AB2)
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse("0 )", AB2)
+    assert exc.value.position == 2
 
 
 # -- random trees against the Element fold ------------------------------
@@ -182,88 +180,71 @@ def in_range_letters(lam):
     return list(range(lam)) if lam else [0, 1, 6, 26, 30]
 
 
-def trees_st(lam, parseable=False):
-    """Random syntax trees over Alphabet(lam).  Parseable trees hold only
-    what the grammar can write: no Literal, no Product of fewer than two
-    factors, letters of the alphabet.  The others also hold, at one leaf
-    in twenty, a foreign or unchecked Literal, a letter outside the
-    alphabet or a value that is no node at all."""
-    ab = Alphabet(lam)
+def trees_st(lam, parseable=True):
+    """Random expression trees over Alphabet(lam), in the tuple form of
+    ``helpers.evaluate_elements``.  Unless parseable, one leaf in twenty
+    of a finite alphabet's tree is a letter outside the alphabet."""
     letters = in_range_letters(lam)
-    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
-    good = [st.just(ZeroLit()), st.just(OneLit()), st.sampled_from(letters).map(Generator)]
-    if not parseable:
-        good += [
-            st.builds(lambda u, v: Literal(Element(ab, u, v)), words, words),
-            st.just(Literal(zero(ab))),
-        ]
-    leaf = st.one_of(*good)
-    if not parseable:
-        outside = [-1] + ([lam, lam + 5] if lam else [])
-        bad = st.one_of(
-            st.sampled_from(outside).map(Generator),
-            st.just(Literal(Element(ab, (), ((lam or 40) + 2,)))),
-            st.sampled_from([generator(Alphabet(5), 0), zero(Alphabet(5))]).map(Literal),
-            st.just("not a node"),
-        )
+    leaf = st.one_of(st.just(("0",)), st.just(("1",)), st.sampled_from(letters).map(lambda i: ("letter", i)))
+    if not parseable and lam:
+        bad = st.sampled_from([lam, lam + 5]).map(lambda i: ("letter", i))
         leaf = st.integers(0, 19).flatmap(lambda k, good=leaf: bad if k == 0 else good)
 
     def extend(children):
         chain = st.tuples(children, st.integers(1, 4))
         return st.one_of(
-            st.lists(children, min_size=2 if parseable else 0, max_size=4).map(lambda fs: Product(tuple(fs))),
+            st.lists(children, min_size=2, max_size=4).map(lambda fs: ("mul", tuple(fs))),
             chain.map(lambda t: primed(*t)),
         )
 
     return st.recursive(leaf, extend, max_leaves=12)
 
 
-def primed(node, count):
+def primed(tree, count):
     for _ in range(count):
-        node = Inverse(node)
-    return node
+        tree = ("inv", tree)
+    return tree
 
 
-def outcome(evaluator, tree, ab):
-    try:
-        return evaluator(tree, ab)
-    except (PolymonError, TypeError) as err:
-        return type(err), str(err)
-
-
-def sessions(parseable=False):
+def sessions(parseable=True):
     return st.sampled_from(LAMBDAS).flatmap(lambda lam: st.tuples(st.just(Alphabet(lam)), trees_st(lam, parseable)))
 
 
+def render(tree, sep=" ", postfix="'"):
+    """Expression text whose expression tree is exactly ``tree``."""
+    kind = tree[0]
+    if kind in ("0", "1"):
+        return kind
+    if kind == "letter":
+        return letter_name(tree[1])
+    if kind == "inv":
+        return wrapped(tree[1], sep, postfix) + postfix
+    return sep.join(wrapped(f, sep, postfix) for f in tree[1])
+
+
+def wrapped(tree, sep, postfix):
+    text = render(tree, sep, postfix)
+    return f"({text})" if tree[0] == "mul" else text
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except PolymonError as err:
+        return type(err)
+
+
 @settings(max_examples=200, deadline=None)
-@given(sessions())
+@given(sessions(parseable=False))
 def test_evaluate_matches_element_fold(session):
     ab, tree = session
-    assert outcome(evaluate, tree, ab) == outcome(evaluate_elements, tree, ab)
-
-
-def render(node, sep, postfix):
-    """Expression text that parses back to exactly ``node``."""
-    if isinstance(node, ZeroLit):
-        return "0"
-    if isinstance(node, OneLit):
-        return "1"
-    if isinstance(node, Generator):
-        return letter_name(node.index)
-    if isinstance(node, Inverse):
-        return wrapped(node.inner, sep, postfix) + postfix
-    return sep.join(wrapped(f, sep, postfix) for f in node.factors)
-
-
-def wrapped(node, sep, postfix):
-    text = render(node, sep, postfix)
-    return f"({text})" if isinstance(node, Product) else text
+    assert outcome(lambda: evaluate(parse(render(tree), ab), ab)) == outcome(lambda: evaluate_elements(tree, ab))
 
 
 @settings(max_examples=100, deadline=None)
-@given(sessions(parseable=True), st.sampled_from([" ", " * ", "*"]), st.sampled_from(["'", "^-1", " ' "]))
+@given(sessions(), st.sampled_from([" ", " * ", "*"]), st.sampled_from(["'", "^-1", " ' "]))
 def test_rendered_trees_parse_back(session, sep, postfix):
     ab, tree = session
-    text = render(tree, sep, postfix)
-    assert parse(text, ab) == tree
-    assert evaluate(parse(text, ab), ab) == evaluate_elements(tree, ab)
+    word = parse(render(tree, sep, postfix), ab)
+    assert word == parse(render(tree), ab)
+    assert evaluate(word, ab) == evaluate_elements(tree, ab)
