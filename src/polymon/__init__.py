@@ -58,7 +58,6 @@ from .rewriting import (
     multiplier_pool,
     reduce,
     reduce_stepwise,
-    signed,
     verify_derivation,
 )
 from .topology import (
@@ -85,7 +84,7 @@ __all__ = [
     "in_subsemigroup", "rclass_key", "rclass_witness", "solve_axb",
     "evaluate", "parse", "parse_positive_word",
     "Derivation", "DerivationStep", "collapse_witness", "free_word", "mul_oracle",
-    "multiplier_pool", "reduce", "reduce_stepwise", "signed", "verify_derivation",
+    "multiplier_pool", "reduce", "reduce_stepwise", "verify_derivation",
     "CofiniteNbhd", "WitnessFamily", "certify_translations", "cofinite",
     "joint_discontinuity_family", "rclass_growth", "rclass_missing",
     "shrink_neighborhood",

@@ -9,10 +9,11 @@ Grammar (whitespace insignificant between tokens):
     letter  := 'a'..'z' | 'g' digits       g26, g27, ... index past z
 
 A bare 'g' is letter 6; 'g' followed by ASCII digits 0-9 is the letter
-with that index.  Letter indices are checked against the session alphabet while
-parsing, so an out-of-range letter fails before evaluation.  Parentheses
-nest at most ``MAX_NESTING`` deep.  ``tokenize`` yields plain
-(kind, position, letter index) tuples.
+with that index; more digits than Python converts to an int (4300 by
+default) are a syntax error at the 'g'.  Letter indices are checked
+against the session alphabet while parsing, so an out-of-range letter
+fails before evaluation.  Parentheses nest at most ``MAX_NESTING`` deep.
+``tokenize`` yields plain (kind, position, letter index) tuples.
 
 By the relations x x' = 1 and x y' = 0 a whole expression denotes one
 signed word over the doubled alphabet, and ``parse`` emits that word
@@ -49,7 +50,11 @@ def tokenize(text: str) -> List[Token]:
                 j = i + 1
                 while j < n and "0" <= text[j] <= "9":
                     j += 1
-                out.append(("LETTER", i, int(text[i + 1:j])))
+                try:
+                    index = int(text[i + 1:j])
+                except ValueError:  # more digits than Python converts to an int
+                    raise ExpressionSyntaxError("letter index too long", i) from None
+                out.append(("LETTER", i, index))
                 i = j
             else:
                 out.append(("LETTER", i, ord(c) - 97))  # 97 is ord("a")

@@ -1,7 +1,8 @@
 """Free-word rewriting: the independent route to every product.
 
 Words over the doubled alphabet {x, x'} are encoded as tuples of signed
-ints: letter i reads as i+1 when positive and -(i+1) when inverted.
+ints: letter i reads as i+1 when positive and -(i+1) when inverted, so
+s names letter abs(s) - 1.  Every module writes this encoding inline.
 The only redexes are (positive, inverted) adjacencies:
 
     x x'  ->  deleted        (same letter)
@@ -12,17 +13,16 @@ irreducible words have the shape inverted* positive* and denote normal
 forms u'v, with u read in reverse from the inverted prefix.  ``reduce``
 checks every letter and then makes a single left-to-right stack pass;
 ``parsing.evaluate`` calls it on the word ``parsing.parse`` emits.
-``reduce_stepwise`` applies one redex at a time under a chosen strategy
-so tests can compare leftmost against rightmost and confirm the result
-is strategy-independent.
 
 ``collapse_witness`` searches the congruence generated by one pair for a
 derivation of (0, 1): identifying any two distinct elements collapses
 the whole monoid.  Not finding one within the depth budget is a legal
-outcome, reported as None, never as an error.  The search runs on bare
-normal forms through ``core.mul_nf``; the derivation it returns, and
-``verify_derivation`` replaying it, use ``Element``.  The test suite
-keeps the same search over ``Element`` pairs as its oracle.
+outcome, reported as None, never as an error.  A derivation is a chain:
+each pair follows from the one before by a left or right multiplication
+or a swap.  The search runs on bare normal forms through ``core.mul_nf``;
+the derivation it returns, and ``verify_derivation`` replaying it, use
+``Element``.  The test suite keeps the same search over ``Element`` pairs
+as its oracle.
 """
 
 from __future__ import annotations
@@ -40,22 +40,6 @@ SEED = "seed"
 LEFT_MULTIPLY = "left-multiply"
 RIGHT_MULTIPLY = "right-multiply"
 SYMMETRY = "symmetry"
-TRANSITIVITY = "transitivity"
-
-
-def signed(letter: int, inverted: bool = False) -> int:
-    """Encode one signed letter."""
-    if letter < 0:
-        raise UnknownLetter(f"letter index {letter} is negative")
-    return -(letter + 1) if inverted else letter + 1
-
-
-def letter_of(s: int) -> int:
-    return abs(s) - 1
-
-
-def is_inverted(s: int) -> bool:
-    return s < 0
 
 
 def free_word(x: Element) -> FreeWord:
@@ -68,7 +52,7 @@ def free_word(x: Element) -> FreeWord:
 def _checked(alphabet: Alphabet, word: Iterable[int]) -> List[int]:
     w = list(word)
     for s in w:
-        if s == 0 or type(s) is bool or letter_of(s) not in alphabet:
+        if s == 0 or type(s) is bool or abs(s) - 1 not in alphabet:
             raise UnknownLetter(f"signed letter {s} invalid for alphabet of size {alphabet.size}")
     return w
 
@@ -136,19 +120,16 @@ def mul_oracle(x: Element, y: Element) -> Element:
 
 @dataclass(frozen=True)
 class DerivationStep:
-    """One congruence consequence and the rule that produced it."""
+    """One pair of a derivation and the rule deriving it from the pair before."""
 
     rule: str
     pair: Tuple[Element, Element]
-    by: Optional[Element] = None          # multiplier for left/right-multiply
-    sources: Optional[Tuple[int, int]] = None  # step indices for transitivity
+    by: Optional[Element] = None  # multiplier for left/right-multiply
 
     def to_json(self) -> dict:
         out: dict = {"rule": self.rule, "pair": [self.pair[0].to_json(), self.pair[1].to_json()]}
         if self.by is not None:
             out["by"] = self.by.to_json()
-        if self.sources is not None:
-            out["sources"] = list(self.sources)
         return out
 
 
@@ -172,8 +153,8 @@ class Derivation:
 
 
 def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = None) -> None:
-    """Replay a derivation with the closed-form product; raise ValueError
-    on the first step that does not follow from its rule."""
+    """Replay a derivation with the closed-form product, each step from the
+    one before; raise ValueError on the first step its rule does not give."""
     if not d.steps:
         raise ValueError("empty derivation")
     first = d.steps[0]
@@ -184,27 +165,19 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
     for i in range(1, len(d.steps)):
         step = d.steps[i]
         px, py = d.steps[i - 1].pair
-        if step.rule == LEFT_MULTIPLY:
-            if step.by is None or step.pair != (step.by * px, step.by * py):
-                raise ValueError(f"step {i}: left-multiply does not replay")
-        elif step.rule == RIGHT_MULTIPLY:
-            if step.by is None or step.pair != (px * step.by, py * step.by):
-                raise ValueError(f"step {i}: right-multiply does not replay")
-        elif step.rule == SYMMETRY:
-            if step.pair != (py, px):
-                raise ValueError(f"step {i}: symmetry does not replay")
-        elif step.rule == TRANSITIVITY:
-            if step.sources is None:
-                raise ValueError(f"step {i}: transitivity needs sources")
-            j, k = step.sources
-            if not (0 <= j < i and 0 <= k < i):
-                raise ValueError(f"step {i}: transitivity sources out of range")
-            xj, yj = d.steps[j].pair
-            xk, yk = d.steps[k].pair
-            if yj != xk or step.pair != (xj, yk):
-                raise ValueError(f"step {i}: transitivity does not replay")
-        else:
+        m = step.by
+        if step.rule == SYMMETRY:
+            expected = (py, px)
+        elif step.rule not in (LEFT_MULTIPLY, RIGHT_MULTIPLY):
             raise ValueError(f"step {i}: unknown rule {step.rule!r}")
+        elif m is None:
+            expected = None  # a multiplication without its multiplier never replays
+        elif step.rule == LEFT_MULTIPLY:
+            expected = (m * px, m * py)
+        else:
+            expected = (px * m, py * m)
+        if expected is None or step.pair != expected:
+            raise ValueError(f"step {i}: {step.rule} does not replay")
     ab = d.steps[0].pair[0].alphabet
     if d.final_pair != (zero(ab), one(ab)):
         raise ValueError("derivation does not end at (0, 1)")

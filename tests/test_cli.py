@@ -69,6 +69,11 @@ def test_non_ascii_digits_are_a_syntax_error(capsys):
     assert run(capsys, "eval", "g١", "--lambda", "3") == (2, "", "syntax error: unexpected character '١' (position 1)\n")
 
 
+def test_letter_index_too_long_exits_2(capsys):
+    huge = "g" + "1" * 4301  # one digit past Python's default int-conversion limit
+    assert run(capsys, "eval", huge) == (2, "", "syntax error: letter index too long (position 0)\n")
+
+
 def test_unknown_letter_exits_1(capsys):
     code, _, err = run(capsys, "eval", "c")
     assert code == 1 and "letter c" in err
@@ -395,6 +400,14 @@ def test_repl_survives_a_bad_digit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (0, "a\nb\n")
     assert captured.err == "error: unexpected character '²' (position 1)\n"
+
+
+def test_repl_survives_a_letter_index_too_long(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\ng" + "1" * 4301 + "\nb\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "a\nb\n")
+    assert captured.err == "error: letter index too long (position 0)\n"
 
 
 def test_repl_eof_ends(monkeypatch, capsys):

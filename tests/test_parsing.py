@@ -163,6 +163,16 @@ def test_letter_index_takes_ascii_digits_only():
             tokenize(text)
 
 
+def test_letter_index_too_long_is_a_syntax_error():
+    # 5000 digits is past Python's default int-conversion limit of 4300
+    huge = "g" + "1" * 5000
+    for ab in (AB2, Alphabet(None)):
+        with pytest.raises(ExpressionSyntaxError, match=r"^letter index too long \(position 2\)$"):
+            parse("a " + huge, ab)
+        with pytest.raises(ExpressionSyntaxError, match=r"^letter index too long \(position 1\)$"):
+            parse_positive_word("a" + huge, ab)
+
+
 def test_zero_does_not_skip_later_checks():
     with pytest.raises(UnknownLetter, match=r"^letter c \(position 2\) not in alphabet of size 2$"):
         parse("0 c", AB2)

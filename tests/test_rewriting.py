@@ -24,7 +24,6 @@ from polymon import (
     one,
     reduce,
     reduce_stepwise,
-    signed,
     verify_derivation,
     zero,
 )
@@ -33,11 +32,8 @@ from polymon.rewriting import (
     RIGHT_MULTIPLY,
     SEED,
     SYMMETRY,
-    TRANSITIVITY,
     Derivation,
     DerivationStep,
-    is_inverted,
-    letter_of,
 )
 
 AB2 = Alphabet(2)
@@ -45,22 +41,16 @@ A, B = generator(AB2, 0), generator(AB2, 1)
 ONE, ZERO = one(AB2), zero(AB2)
 
 
-def test_signed_encoding():
-    assert signed(0) == 1 and signed(0, inverted=True) == -1
-    assert letter_of(signed(3)) == 3 == letter_of(signed(3, inverted=True))
-    assert not is_inverted(signed(2)) and is_inverted(signed(2, inverted=True))
-
-
 def test_reduce_relations():
-    assert reduce(AB2, [signed(0), signed(0, inverted=True)]) == ONE
-    assert reduce(AB2, [signed(0), signed(1, inverted=True)]) == ZERO
+    assert reduce(AB2, [1, -1]) == ONE
+    assert reduce(AB2, [1, -2]) == ZERO
     assert reduce(AB2, []) == ONE
 
 
 def test_inert_junction_is_normal_form():
     # b' a' a b: the only adjacent opposite pair is (a, a'); after it
     # cancels, b' b remains with the inverted letter first, which is inert
-    w = [signed(1, inverted=True), signed(0, inverted=True), signed(0), signed(1)]
+    w = [-2, -1, 1, 2]
     got = reduce(AB2, w)
     assert got == element(AB2, (0, 1), (0, 1))
     assert got == element(AB2, (0, 1), ()) * element(AB2, (), (0, 1))
@@ -68,14 +58,14 @@ def test_inert_junction_is_normal_form():
 
 def test_reduce_validates_letters():
     with pytest.raises(UnknownLetter):
-        reduce(AB2, [signed(5)])
+        reduce(AB2, [6])  # letter 5
     with pytest.raises(UnknownLetter):
         reduce(AB2, [0])  # 0 is not a valid signed letter
 
 
 def test_free_word_round_trip():
     x = element(AB2, (0, 1), (1,))
-    assert free_word(x) == (signed(1, inverted=True), signed(0, inverted=True), signed(1))
+    assert free_word(x) == (-2, -1, 2)
     assert reduce(AB2, free_word(x)) == x
     assert free_word(ONE) == ()
     with pytest.raises(ZeroArgument):
@@ -240,13 +230,29 @@ def test_replay_rejects_wrong_seed():
         verify_derivation(d, seed=(B, A))
 
 
-def test_replay_supports_transitivity_steps():
-    # the search never emits transitivity, but hand-built chains may use it
-    s0 = DerivationStep(SEED, (ZERO, A))
-    s1 = DerivationStep(SYMMETRY, (A, ZERO))
-    s2 = DerivationStep(TRANSITIVITY, (A, A), sources=(1, 0))
-    with pytest.raises(ValueError, match="end"):
-        verify_derivation(Derivation((s0, s1, s2)))  # valid chain, wrong target
-    forged = DerivationStep(TRANSITIVITY, (A, B), sources=(1, 0))
-    with pytest.raises(ValueError, match="transitivity"):
-        verify_derivation(Derivation((s0, s1, forged)))
+def _forge(rule, pair, by=None):
+    # the seed (ZERO, A), then one step to check
+    return Derivation((DerivationStep(SEED, (ZERO, A)), DerivationStep(rule, pair, by=by)))
+
+
+# a step with a wrong multiplier holds the product from the other side,
+# which differs: a·a' = 1 but a'·a is not
+@pytest.mark.parametrize("step, message", [
+    ((LEFT_MULTIPLY, (ZERO, A * A.inverse()), A.inverse()), "step 1: left-multiply does not replay"),
+    ((LEFT_MULTIPLY, (ZERO, A), None), "step 1: left-multiply does not replay"),
+    ((RIGHT_MULTIPLY, (ZERO, A.inverse() * A), A.inverse()), "step 1: right-multiply does not replay"),
+    ((SYMMETRY, (ZERO, A), None), "step 1: symmetry does not replay"),
+    (("transitivity", (A, ZERO), None), "step 1: unknown rule 'transitivity'"),
+    (("bogus", (A, ZERO), None), "step 1: unknown rule 'bogus'"),
+])
+def test_replay_rejects_each_forged_step(step, message):
+    with pytest.raises(ValueError) as exc:
+        verify_derivation(_forge(*step))
+    assert str(exc.value) == message
+
+
+def test_replay_of_a_true_chain_checks_the_target():
+    # each step replays from the one before, but the chain ends at (A, 0)
+    with pytest.raises(ValueError) as exc:
+        verify_derivation(_forge(SYMMETRY, (A, ZERO)))
+    assert str(exc.value) == "derivation does not end at (0, 1)"
