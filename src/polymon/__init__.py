@@ -14,7 +14,6 @@ from .core import (
     Element,
     element,
     enumeration_key,
-    from_json,
     generator,
     letter_name,
     make_alphabet,
@@ -29,7 +28,6 @@ from .errors import (
     InfiniteAlphabet,
     KeyMismatch,
     PolymonError,
-    RadiusTooSmall,
     TooFewGenerators,
     UnknownLetter,
     ZeroArgument,
@@ -43,7 +41,6 @@ from .green import (
     ball,
     ball_cardinality,
     cayley_dot,
-    in_subsemigroup,
     rclass_key,
     rclass_witness,
     solve_axb,
@@ -57,7 +54,6 @@ from .rewriting import (
     mul_oracle,
     multiplier_pool,
     reduce,
-    reduce_stepwise,
     verify_derivation,
 )
 from .topology import (
@@ -66,26 +62,23 @@ from .topology import (
     certify_translations,
     cofinite,
     joint_discontinuity_family,
-    rclass_growth,
-    rclass_missing,
     shrink_neighborhood,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Element", "element", "enumeration_key", "from_json", "generator",
+    "Alphabet", "Element", "element", "enumeration_key", "generator",
     "letter_name", "make_alphabet", "one", "render_word", "zero",
     "PolymonError", "TooFewGenerators", "AlphabetMismatch", "UnknownLetter",
     "ZeroHasNoDownset", "ZeroArgument", "KeyMismatch", "InfiniteAlphabet",
-    "EqualPair", "ZeroTarget", "RadiusTooSmall",
+    "EqualPair", "ZeroTarget",
     "ExpressionSyntaxError",
     "Ball", "RClassKey", "act", "ball", "ball_cardinality", "cayley_dot",
-    "in_subsemigroup", "rclass_key", "rclass_witness", "solve_axb",
+    "rclass_key", "rclass_witness", "solve_axb",
     "evaluate", "parse", "parse_positive_word",
     "Derivation", "DerivationStep", "collapse_witness", "free_word", "mul_oracle",
-    "multiplier_pool", "reduce", "reduce_stepwise", "verify_derivation",
+    "multiplier_pool", "reduce", "verify_derivation",
     "CofiniteNbhd", "WitnessFamily", "certify_translations", "cofinite",
-    "joint_discontinuity_family", "rclass_growth", "rclass_missing",
-    "shrink_neighborhood",
+    "joint_discontinuity_family", "shrink_neighborhood",
 ]

@@ -35,7 +35,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     AlphabetMismatch,
-    InfiniteAlphabet,
     TooFewGenerators,
     UnknownLetter,
     ZeroHasNoDownset,
@@ -107,12 +106,6 @@ class Alphabet:
             return False
         return self.size is None or letter < self.size
 
-    def letters(self) -> Iterator[int]:
-        """Iterate all letter indices; finite alphabets only."""
-        if self.size is None:
-            raise InfiniteAlphabet("cannot enumerate the countable alphabet")
-        return iter(range(self.size))
-
     def check_word(self, word: Sequence[int]) -> Word:
         """Validate every letter and return the word as a tuple."""
         w = tuple(word)
@@ -154,10 +147,6 @@ class Element:
         return self.u is None
 
     @property
-    def is_one(self) -> bool:
-        return self.u == () and self.v == ()
-
-    @property
     def size(self) -> int:
         """|u| + |v|; Zero counts as 0."""
         if self.u is None or self.v is None:
@@ -187,10 +176,6 @@ class Element:
         if self.u is None:
             return self
         return Element(self.alphabet, self.v, self.u)
-
-    def is_idempotent(self) -> bool:
-        """True iff x*x = x; exactly Zero, 1 and the pairs (w, w)."""
-        return self * self == self
 
     def downset(self) -> "list[Element]":
         """All prefixes of the normal form, as elements, shortest first.
@@ -252,17 +237,6 @@ def generator(alphabet: Alphabet, index: int) -> Element:
 def element(alphabet: Alphabet, u: Sequence[int], v: Sequence[int]) -> Element:
     """Validated normal-form constructor."""
     return Element(alphabet, alphabet.check_word(u), alphabet.check_word(v))
-
-
-def from_json(alphabet: Alphabet, data: dict) -> Element:
-    """Inverse of ``Element.to_json`` over a given alphabet."""
-    if not isinstance(data, dict):
-        raise ValueError(f"element JSON must be an object, got {type(data).__name__}")
-    if data.get("zero") is True:
-        return zero(alphabet)
-    if "u" not in data or "v" not in data:
-        raise ValueError("element JSON needs 'u' and 'v' or 'zero': true")
-    return element(alphabet, data["u"], data["v"])
 
 
 def enumeration_key(x: Element) -> tuple:

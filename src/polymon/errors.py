@@ -47,10 +47,6 @@ class ZeroTarget(PolymonError):
     """Witness family target must be nonzero."""
 
 
-class RadiusTooSmall(PolymonError):
-    """Ball radius too small to meet the class being counted."""
-
-
 class ExpressionSyntaxError(PolymonError):
     """Malformed expression text; carries the 0-based offset."""
 

@@ -11,7 +11,7 @@ top at the right end).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     Alphabet,
@@ -27,7 +27,6 @@ from .errors import (
     AlphabetMismatch,
     InfiniteAlphabet,
     KeyMismatch,
-    UnknownLetter,
     ZeroArgument,
 )
 
@@ -37,10 +36,6 @@ class RClassKey:
     """R-class label: the first component u, or None for the class of Zero."""
 
     word: Optional[Word]
-
-    @property
-    def is_zero_class(self) -> bool:
-        return self.word is None
 
     def representative(self, alphabet: Alphabet) -> Element:
         """Canonical member: Zero, or the pure inverse word (u, empty)."""
@@ -83,9 +78,6 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: Element) -> bool:
-        return isinstance(x, Element) and x.alphabet == self.alphabet and (x.is_zero or x.size <= self.radius)
 
     @property
     def nonzero(self) -> Tuple[Element, ...]:
@@ -145,18 +137,6 @@ def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
                  for yu, yv in _solve_left(a.u, a.v, c.u, c.v)
                  for p, q in _solve_left(b.v, b.u, yv, yu)]
     return sorted(solutions, key=enumeration_key)
-
-
-def in_subsemigroup(x: Element, letters: Iterable[int]) -> bool:
-    """Membership in the least subsemigroup containing the given letters,
-    their inverses, Zero and 1: true iff x is Zero, 1, or uses only them."""
-    generating = frozenset(letters)
-    for i in generating:
-        if i not in x.alphabet:
-            raise UnknownLetter(f"letter index {i} not in alphabet of size {x.alphabet.size}")
-    if x.is_zero or x.is_one:
-        return True
-    return x.letters() <= generating
 
 
 def act(x: Element, word: Sequence[int]) -> Optional[Word]:

@@ -23,16 +23,10 @@ target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from .core import Alphabet, Element, NormalForm, enumeration_key
-from .errors import (
-    AlphabetMismatch,
-    InfiniteAlphabet,
-    RadiusTooSmall,
-    ZeroArgument,
-    ZeroTarget,
-)
+from .errors import AlphabetMismatch, ZeroArgument, ZeroTarget
 from .green import _solve_left
 
 
@@ -57,11 +51,6 @@ class CofiniteNbhd:
 
     def excluded_sorted(self) -> List[Element]:
         return sorted(self.excluded, key=enumeration_key)
-
-    def difference(self, other: "CofiniteNbhd") -> "Set[Element]":
-        """Set difference self minus other; finite, computed exactly as
-        excluded(other) minus excluded(self)."""
-        return set(other.excluded) - set(self.excluded)
 
     def to_json(self) -> dict:
         return {"excluded": [f.to_json() for f in self.excluded_sorted()]}
@@ -120,10 +109,13 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     the cost is that of the solves at any radius, over any alphabet.  The
     independent check is the ball scan the test suite keeps as its oracle.
 
-    Needs a nonnegative radius and a over the neighborhood's alphabet.
+    Needs a nonnegative radius, and a and ``shrunk`` over the
+    neighborhood's alphabet.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
+    if shrunk.alphabet != nbhd.alphabet:
+        raise AlphabetMismatch(f"{shrunk.alphabet} vs {nbhd.alphabet}")
     points = (Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd) if len(u) + len(v) <= radius)
     bad: List[tuple] = []
     for x in sorted((x for x in points if x in shrunk), key=enumeration_key):
@@ -175,24 +167,3 @@ def joint_discontinuity_family(c: Element, k: int) -> WitnessFamily:
         pairs.append((Element(c.alphabet, c.u, w), Element(c.alphabet, w, c.v)))
     return WitnessFamily(c, tuple(pairs))
 
-
-def rclass_missing(nbhd: CofiniteNbhd, u: Sequence[int]) -> List[Element]:
-    """Members of the R-class of (u, *) that the neighborhood misses."""
-    w = nbhd.alphabet.check_word(u)
-    return [f for f in nbhd.excluded_sorted() if f.u == w]
-
-
-def rclass_growth(nbhd: CofiniteNbhd, u: Sequence[int], radius: int) -> int:
-    """Exact count of the R-class of (u, *) inside the neighborhood and
-    the radius ball: all (u, w) with |u| + |w| <= radius minus the
-    excluded ones.  Strictly increasing in the radius once it clears
-    |u| plus the excluded count."""
-    w = nbhd.alphabet.check_word(u)
-    if not nbhd.alphabet.is_finite:
-        raise InfiniteAlphabet("growth counts need a finite alphabet")
-    if radius < len(w):
-        raise RadiusTooSmall(f"radius {radius} below |u| = {len(w)}")
-    lam = nbhd.alphabet.size or 0
-    total = sum(lam ** j for j in range(radius - len(w) + 1))
-    dropped = sum(1 for f in nbhd.excluded if f.u == w and f.size <= radius)
-    return total - dropped

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from polymon import (
     EqualPair,
     Element,
     ball,
+    element,
     generator,
     multiplier_pool,
     one,
@@ -92,7 +93,7 @@ def shrink_neighborhood_enumerate(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbh
     and must come back empty, so a wrong bound fails loudly instead of
     silently truncating the answer.
     """
-    letters = list(nbhd.alphabet.letters())
+    letters = range(nbhd.alphabet.size)
     bound = a.size + max((f.size for f in nbhd.excluded), default=0)
     dropped = set(nbhd.excluded)
     for total in range(bound + 3):
@@ -119,6 +120,26 @@ def certify_translations_enumerate(a: Element, nbhd, shrunk, radius: int) -> lis
         if rhs not in nbhd:
             bad.append((x, "right", rhs))
     return bad
+
+
+def reduce_stepwise(alphabet: Alphabet, word: Iterable[int], strategy: str = "leftmost") -> Element:
+    """Oracle for ``reduce``: rewrite one redex at a time, the leftmost or
+    the rightmost one, until the word is Zero or has the irreducible shape
+    inverted* positive*.  The result never depends on the strategy."""
+    w = list(word)
+    while True:
+        positions: Iterable[int] = range(len(w) - 1)
+        if strategy == "rightmost":
+            positions = reversed(range(len(w) - 1))
+        for i in positions:
+            if w[i] > 0 and w[i + 1] < 0:
+                if w[i] == -w[i + 1]:
+                    del w[i:i + 2]
+                    break
+                return zero(alphabet)
+        else:
+            k = sum(1 for s in w if s < 0)
+            return element(alphabet, [-s - 1 for s in reversed(w[:k])], [s - 1 for s in w[k:]])
 
 
 def collapse_witness_elements(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import collapse_witness_elements, elements_st
+from helpers import collapse_witness_elements, elements_st, reduce_stepwise
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -23,7 +23,6 @@ from polymon import (
     multiplier_pool,
     one,
     reduce,
-    reduce_stepwise,
     verify_derivation,
     zero,
 )
@@ -105,11 +104,6 @@ def test_reduce_is_idempotent(w):
     r = reduce(AB2, w)
     if not r.is_zero:
         assert reduce(AB2, free_word(r)) == r
-
-
-def test_reduce_stepwise_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        reduce_stepwise(AB2, [], "innermost")
 
 
 def test_collapse_seed_already_at_target():
@@ -249,6 +243,24 @@ def test_replay_rejects_each_forged_step(step, message):
     with pytest.raises(ValueError) as exc:
         verify_derivation(_forge(*step))
     assert str(exc.value) == message
+
+
+C3 = generator(Alphabet(3), 2)
+
+
+# a multiplier or a seed component over another alphabet does not replay
+# either; the product would raise AlphabetMismatch
+@pytest.mark.parametrize("seed, step", [
+    ((ZERO, A), (LEFT_MULTIPLY, (ZERO, ZERO), C3)),
+    ((ZERO, A), (RIGHT_MULTIPLY, (ZERO, ZERO), C3)),
+    ((ZERO, C3), (LEFT_MULTIPLY, (ZERO, ZERO), ONE)),
+    ((ZERO, C3), (RIGHT_MULTIPLY, (ZERO, ZERO), ONE)),
+], ids=["left-by", "right-by", "left-seed", "right-seed"])
+def test_replay_across_alphabets_is_a_value_error(seed, step):
+    d = Derivation((DerivationStep(SEED, seed), DerivationStep(*step)))
+    with pytest.raises(ValueError) as exc:
+        verify_derivation(d)
+    assert str(exc.value) == f"step 1: {step[0]} does not replay"
 
 
 def test_replay_of_a_true_chain_checks_the_target():

@@ -1,4 +1,4 @@
-"""Cofinite neighborhoods, translation shrinking, witness families, growth."""
+"""Cofinite neighborhoods, translation shrinking and certificates, witness families."""
 
 import random
 
@@ -10,20 +10,15 @@ from polymon import (
     AlphabetMismatch,
     CofiniteNbhd,
     Element,
-    InfiniteAlphabet,
-    RadiusTooSmall,
     WitnessFamily,
     ZeroArgument,
     ZeroTarget,
     ball,
     certify_translations,
     cofinite,
-    element,
     generator,
     joint_discontinuity_family,
     one,
-    rclass_growth,
-    rclass_missing,
     shrink_neighborhood,
     zero,
 )
@@ -51,15 +46,6 @@ def test_excluded_sorted_uses_enumeration_order():
 def test_json_form():
     U = cofinite(AB2, [ONE, A])
     assert U.to_json() == {"excluded": [{"u": [], "v": []}, {"u": [], "v": [0]}]}
-
-
-def test_difference():
-    U = cofinite(AB2, [ONE])
-    V = cofinite(AB2, [ONE, A])
-    assert U.difference(V) == {A}
-    assert U.difference(U) == set()
-    for x in U.difference(V):
-        assert x in U and x not in V
 
 
 def test_shrink_identity_translation_is_noop():
@@ -164,6 +150,11 @@ def test_certify_errors_keep_their_messages():
             certify_translations(a, U, U, 2)
         with pytest.raises(AlphabetMismatch, match=r"^Alphabet\(size=3\) vs Alphabet\(size=2\)$"):
             shrink_neighborhood(a, U)
+    # so does a shrunk neighborhood over another alphabet: it excludes no
+    # point of a's alphabet, so it would keep every candidate and report
+    # spurious counterexamples
+    with pytest.raises(AlphabetMismatch, match=r"^Alphabet\(size=3\) vs Alphabet\(size=2\)$"):
+        certify_translations(A, U, cofinite(Alphabet(3), [one(Alphabet(3))]), 2)
 
 
 def _bare(x: Element):
@@ -245,55 +236,6 @@ def test_family_escapes_every_cofinite_neighborhood():
         x, y = fam.pairs[-1]
         assert x in U and y in U
         assert x * y == ONE
-
-
-def test_rclass_missing():
-    U = cofinite(AB2, [A.inverse() * B, B])
-    assert rclass_missing(U, (0,)) == [A.inverse() * B]
-    assert rclass_missing(cofinite(AB2), (0,)) == []
-    U2 = cofinite(AB2, ball(AB2, 2).nonzero)
-    assert rclass_missing(U2, (0, 1)) == [element(AB2, (0, 1), ())]
-
-
-def test_rclass_missing_contained_in_excluded():
-    rng = random.Random(11)
-    b3 = list(ball(AB2, 3).nonzero)
-    for _ in range(25):
-        excluded = rng.sample(b3, rng.randint(0, 8))
-        U = cofinite(AB2, excluded)
-        for u in ((), (0,), (1, 0)):
-            missing = rclass_missing(U, u)
-            assert set(missing) <= set(excluded)
-            assert all(f.u == u for f in missing)
-            assert all(f not in U for f in missing)
-
-
-def test_rclass_growth_counts():
-    assert rclass_growth(cofinite(AB2), (), 2) == 7
-    assert rclass_growth(cofinite(AB2, [ONE]), (), 2) == 6
-    assert rclass_growth(cofinite(AB2), (0,), 1) == 1
-    with pytest.raises(RadiusTooSmall):
-        rclass_growth(cofinite(AB2), (0, 1), 1)
-    with pytest.raises(InfiniteAlphabet):
-        rclass_growth(cofinite(Alphabet(None)), (), 2)
-
-
-def test_rclass_growth_matches_direct_count():
-    U = cofinite(AB2, [ONE, A, element(AB2, (0,), (0, 1))])
-    for u in ((), (0,)):
-        for L in range(len(u), 5):
-            direct = sum(
-                1 for x in ball(AB2, L).nonzero if x.u == u and x in U
-            )
-            assert rclass_growth(U, u, L) == direct
-
-
-def test_rclass_growth_strictly_increases():
-    U = cofinite(AB2, ball(AB2, 2).nonzero)
-    for u in ((), (0,), (0, 1)):
-        lo = len(u) + len(U.excluded)
-        counts = [rclass_growth(U, u, L) for L in range(lo, lo + 5)]
-        assert all(second > first for first, second in zip(counts, counts[1:]))
 
 
 def test_nbhd_is_hashable_value_object():
