@@ -21,17 +21,17 @@ outcome, reported as None, never as an error.  A derivation is a chain:
 each pair follows from the one before by a left or right multiplication
 or a swap.  The search runs on bare normal forms through ``core.mul_nf``;
 the derivation it returns, and ``verify_derivation`` replaying it, use
-``Element``.  The test suite keeps the same search over ``Element`` pairs
-as its oracle.
+``Element``.  The test suite keeps the breadth-first search that
+generates every level, over ``Element`` pairs, as its oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Alphabet, Element, NormalForm, elements_of_size, mul_nf, one, zero
+from .core import Alphabet, Element, NormalForm, Word, mul_nf, one, zero
 from .errors import AlphabetMismatch, EqualPair, UnknownLetter, ZeroArgument
 
 FreeWord = Tuple[int, ...]
@@ -166,33 +166,86 @@ def multiplier_pool(a: Element, b: Element) -> List[Element]:
     letter (the smallest non-occurring index, when the alphabet has one),
     in enumeration order with Zero first."""
     ab = a.alphabet
+    return [zero(ab), one(ab)] + [Element(ab, u, v) for u, v in _multipliers(a, b)]
+
+
+def _multipliers(a: Element, b: Element) -> List[NormalForm]:
+    """The members of ``multiplier_pool(a, b)`` of size 1 and 2, as bare pairs."""
     occurring = set(a.letters() | b.letters())
     fresh = 0
     while fresh in occurring:
         fresh += 1
-    if fresh in ab:
+    if fresh in a.alphabet:
         occurring.add(fresh)
     letters = sorted(occurring)
-    pool = [zero(ab), one(ab)]
-    for total in (1, 2):
-        pool.extend(elements_of_size(ab, letters, total))
-    return pool
+    # enumeration order, as ``core.elements_of_size`` gives it
+    return [(u, v) for total in (1, 2) for ulen in range(total + 1)
+            for u in product(letters, repeat=ulen) for v in product(letters, repeat=total - ulen)]
+
+
+State = Tuple[Optional[NormalForm], Optional[NormalForm]]
+Move = Tuple[str, Optional[NormalForm]]  # rule and bare multiplier, None for symmetry
+_ONE: NormalForm = ((), ())
+_TARGET: State = (None, _ONE)
 
 
 def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
     """Search the congruence generated by identifying a with b for a
     derivation of (0, 1); None when none exists within max_depth.
 
-    Breadth-first over ordered pairs.  Moves from (x, y), in order: left
+    The answer is that of a breadth-first search over ordered pairs with
+    first-discovery parents.  Moves from (x, y), in order: left
     multiplication by each pool element, right multiplication by each,
     then symmetry.  Queue and pool order are fixed, so the derivation
-    found for given inputs is reproducible.  Diagonal pairs are pruned:
-    every move sends (x, x) to another diagonal pair, which can never
-    become (0, 1).  A negative max_depth raises ValueError.
+    found is the lexicographically first shortest one, and reproducible.
+    Diagonal pairs are pruned: every move sends (x, x) to another
+    diagonal pair, which can never become (0, 1).  A negative max_depth
+    raises ValueError.  Multiplying by 0 or 1 gives (0, 0) or the pair
+    itself, so only the pool members of size 1 and 2 are tried.
+
+    The search generates states only up to depth max_depth - 2 and finds
+    the last two moves by solving.
+
+    The last move.  m·y = 1 forces m = ((), p) and y = (p, ()), and
+    y·m = 1 forces y = ((), q) and m = (q, ()).  So (x, y) reaches (0, 1)
+    in one move only by a left move by ((), p) when y = (p, ()) and
+    ((), p)·x = 0, by a right move by (q, ()) when y = ((), q) and
+    x·(q, ()) = 0, or by symmetry when (x, y) = (1, 0); ``_last_move``
+    finds it.  Call a pair with a last move a hit.  Whether a pair is a
+    hit depends only on the pair.
+
+    The last two moves.  The seed gets the one-move test.  Then, before
+    level d (the depth-d states in queue order) would be expanded, its
+    children are scanned in BFS order, states in queue order and each
+    state's moves in move order, for the first hit c.  The BFS then ends
+    at (0, 1) through c, at depth d + 2, with the parents the scan found:
+    1. No state of depth at most d is a hit.  The seed was tested, and
+       each state of depth k >= 1 is a child of one of depth k - 1,
+       whose scan found no hit; a scan finds one among a state's
+       children whenever there is one (see below).  Hence expanding
+       levels up to d never discovers (0, 1), and level d + 1 is
+       complete.
+    2. c is new and non-diagonal.  A diagonal pair is no hit.  A pair
+       seen before c in the BFS has depth at most d, so it is no hit by
+       1, or it is an earlier child in scan order, which would have been
+       an earlier hit.  So the BFS discovers c first where the scan found
+       it, and records that parent and move.  Every child before c in scan
+       order is no hit, so c is the first hit of level d + 1 in queue
+       order: the BFS discovers (0, 1) from it, by c's last move.
+    The scan tries only the moves that can give a hit.  The child
+    (m·x, m·y) of a left move is a hit only if m·y is (p, ()) or
+    ((), q), or if it is (1, 0).  By the closed form of ``*``, m·y is
+    nonzero only when m's v and y's u are suffix-comparable, and then
+    has an empty component only when m's u or y's v is empty.  And
+    m·x = 1 forces m = ((), xu) with x = (xu, ()).  Right moves mirror
+    this.  The swap never gives the first hit: if (y, x) has a last
+    move, a left or right move by that multiplier takes (x, y) to
+    (1, 0), earlier in move order.  Level d is expanded only when
+    d + 3 <= max_depth.
 
     The search runs on bare normal forms, (u, v) or None for Zero, and
-    multiplies with ``mul_nf``; only the pairs on the returned chain
-    become ``Element``s again.
+    multiplies with ``mul_nf``; only the pairs and multipliers on the
+    returned chain become ``Element``s.
     """
     if max_depth < 0:
         raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
@@ -200,35 +253,111 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a == b:
         raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
-    seed = (_bare(a), _bare(b))
-    target = (None, ((), ()))
-    if seed == target:
+    ab = a.alphabet
+    seed: State = (_bare(a), _bare(b))
+    if seed == _TARGET:
         return Derivation((DerivationStep(SEED, (a, b)),))
 
-    pool = multiplier_pool(a, b)
-    factors = [(m.u, m.v) for m in pool]
-    # rule and multiplier of each move, in the order of the move list below
-    labels = [(LEFT_MULTIPLY, m) for m in pool] + [(RIGHT_MULTIPLY, m) for m in pool] + [(SYMMETRY, None)]
-    parent: Dict[tuple, Optional[tuple]] = {seed: None}
-    queue: deque = deque([(seed, 0)])
-    while queue:
-        state, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
+    pool = _multipliers(a, b)
+    index = {m: i for i, m in enumerate(pool)}
+    parent: Dict[State, Optional[Tuple[State, Move]]] = {seed: None}
+    last = _last_move(seed, index) if max_depth >= 1 else None
+    if last is not None:
+        return _chain(ab, (a, b), parent, seed, [(last, _TARGET)])
+    solved: Dict[tuple, List[int]] = {}
+    level, depth = [seed], 0
+    while level and depth + 2 <= max_depth:
+        hit = _scan(level, pool, index, solved)
+        if hit is not None:
+            state, move, child, last = hit
+            return _chain(ab, (a, b), parent, state, [(move, child), (last, _TARGET)])
+        if depth + 3 > max_depth:
+            break
+        level = _expand(level, pool, parent)
+        depth += 1
+    return None
+
+
+def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
+    """The move taking state to (0, 1), or None; index holds the pool."""
+    x, y = state
+    if y is None:
+        return (SYMMETRY, None) if x == _ONE else None
+    yu, yv = y
+    xu, xv = x or (None, None)
+    if not yv and ((), yu) in index and mul_nf((), yu, xu, xv) is None:
+        return LEFT_MULTIPLY, ((), yu)
+    if not yu and (yv, ()) in index and mul_nf(xu, xv, yv, ()) is None:
+        return RIGHT_MULTIPLY, (yv, ())
+    return None
+
+
+def _solved(pool: List[NormalForm], index: Dict[NormalForm, int], cache: dict, side: int,
+            word: Optional[Word], free: bool, extra: Optional[NormalForm]) -> List[int]:
+    """Pool indices, ascending, of the members m whose component ``side``
+    is suffix-comparable with word (None: no member) and whose other
+    component is empty unless free; plus extra's.
+
+    Members have size at most 2, so word[-2:] decides which, and the
+    cache is keyed on it.  Lists, not tuples: freed tuples of a dozen
+    different lengths would pile up in the interpreter's tuple free lists."""
+    key = None if word is None else word[-2:]
+    got = cache.get((side, key, free))
+    if got is None:
+        got = cache[side, key, free] = [] if key is None else [
+            i for i, m in enumerate(pool) if (free or not m[1 - side]) and _comparable(m[side], key)]
+    i = None if extra is None else index.get(extra)
+    if i is not None and i not in got:
+        got = sorted(got + [i])
+    return got
+
+
+def _comparable(s: Word, t: Word) -> bool:
+    """Whether one word is a suffix of the other."""
+    n = min(len(s), len(t))
+    return s[len(s) - n:] == t[len(t) - n:]
+
+
+def _scan(level: List[State], pool: List[NormalForm], index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
+    """The first child of a level state that is a hit, in BFS order, as
+    (state, move, child, last move); None when there is none.  Only the
+    moves ``_solved`` finds can give it; the swap never does."""
+    for state in level:
         x, y = state
         xu, xv = x or (None, None)
         yu, yv = y or (None, None)
-        moves = [(mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv)) for p, q in factors]
-        moves += [(mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q)) for p, q in factors]
-        moves.append((y, x))
-        for i, nxt in enumerate(moves):
-            if nxt[0] == nxt[1] or nxt in parent:
-                continue
-            parent[nxt] = (state, labels[i])
-            if nxt == target:
-                return _chain(parent, (a, b), nxt)
-            queue.append((nxt, depth + 1))
+        for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
+            p, q = pool[i]
+            child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
+            last = _last_move(child, index)
+            if last is not None:
+                return state, (LEFT_MULTIPLY, pool[i]), child, last
+        for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
+            p, q = pool[i]
+            child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
+            last = _last_move(child, index)
+            if last is not None:
+                return state, (RIGHT_MULTIPLY, pool[i]), child, last
     return None
+
+
+def _expand(level: List[State], pool: List[NormalForm], parent: dict) -> List[State]:
+    """The next level: the new non-diagonal children of level's states in
+    BFS order, each recorded in parent with its first-discovery move."""
+    moves: List[Move] = [(LEFT_MULTIPLY, m) for m in pool] + [(RIGHT_MULTIPLY, m) for m in pool] + [(SYMMETRY, None)]
+    nxt = []
+    for state in level:
+        x, y = state
+        xu, xv = x or (None, None)
+        yu, yv = y or (None, None)
+        children = [(mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv)) for p, q in pool]
+        children += [(mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q)) for p, q in pool]
+        children.append((y, x))
+        for move, child in zip(moves, children):
+            if child[0] != child[1] and child not in parent:
+                parent[child] = (state, move)
+                nxt.append(child)
+    return nxt
 
 
 def _bare(x: Element) -> Optional[NormalForm]:
@@ -239,13 +368,17 @@ def _element(alphabet: Alphabet, nf: Optional[NormalForm]) -> Element:
     return Element(alphabet, None, None) if nf is None else Element(alphabet, nf[0], nf[1])
 
 
-def _chain(parent: dict, seed: Tuple[Element, Element], final: tuple) -> Derivation:
-    ab = seed[0].alphabet
+def _chain(alphabet: Alphabet, seed: Tuple[Element, Element], parent: dict, state: State,
+           tail: List[Tuple[Move, State]]) -> Derivation:
+    """The derivation from seed through the parent links to state, then
+    the (move, pair) steps of tail."""
     hops = []
-    state = final
     while parent[state] is not None:
-        prev, (rule, m) = parent[state]
-        hops.append(DerivationStep(rule, (_element(ab, state[0]), _element(ab, state[1])), by=m))
+        prev, move = parent[state]
+        hops.append((move, state))
         state = prev
-    hops.append(DerivationStep(SEED, seed))
-    return Derivation(tuple(reversed(hops)))
+    steps = [DerivationStep(SEED, seed)]
+    for (rule, m), (x, y) in hops[::-1] + tail:
+        by = None if m is None else _element(alphabet, m)
+        steps.append(DerivationStep(rule, (_element(alphabet, x), _element(alphabet, y)), by=by))
+    return Derivation(tuple(steps))

@@ -308,10 +308,12 @@ def test_collapse_json(capsys):
 
 
 def test_collapse_not_found(capsys):
-    code, out, _ = run(capsys, "collapse", "a", "b", "--depth", "0")
-    assert (code, out) == (0, "not found within depth 0\n")
-    code, out, _ = run(capsys, "collapse", "a", "b", "--depth", "0", "--format", "json")
-    assert json.loads(out) == {"found": False, "max_depth": 0}
+    # the long pair needs no state past depth 3 to rule out depth 5
+    for pair, depth in ((("a", "b"), 0), (("a'a'b'b'a'b'b'a'a'b'a'b'", "aabbbbaabbab"), 5)):
+        code, out, _ = run(capsys, "collapse", *pair, "--depth", str(depth))
+        assert (code, out) == (0, f"not found within depth {depth}\n")
+        code, out, _ = run(capsys, "collapse", *pair, "--depth", str(depth), "--format", "json")
+        assert code == 0 and out == f'{{"found": false, "max_depth": {depth}}}\n'
 
 
 def test_collapse_equal_seed_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -11,21 +12,25 @@ from helpers import collapse_witness_elements, elements_st, reduce_stepwise
 from polymon import (
     Alphabet,
     AlphabetMismatch,
+    Element,
     EqualPair,
     UnknownLetter,
     ZeroArgument,
     ball,
     collapse_witness,
     element,
+    evaluate,
     free_word,
     generator,
     mul_oracle,
     multiplier_pool,
     one,
+    parse,
     reduce,
     verify_derivation,
     zero,
 )
+from polymon.core import elements_of_size
 from polymon.rewriting import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
@@ -170,12 +175,65 @@ def test_collapse_derivations_pinned_on_radius_1(lam, pairs, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("lam, radius, pairs", [(2, 2, 306), (3, 1, 56)])
+def _deep_pairs(seed, count):
+    """count seeded pairs of sizes 5-8 for each of lambda = 2, 3, inf and
+    each depth budget 4, 5, 6, as (x, y, depth).  Over lambda = inf each
+    pair uses two letters drawn from a through g29."""
+    rng = random.Random(seed)
+
+    def draw(ab, letters):
+        w = [rng.choice(letters) for _ in range(rng.randint(5, 8))]
+        cut = rng.randint(0, len(w))
+        return Element(ab, tuple(w[:cut]), tuple(w[cut:]))
+
+    out = []
+    for lam in (2, 3, None):
+        ab = Alphabet(lam)
+        for depth in (4, 5, 6):
+            n = 0
+            while n < count:
+                letters = rng.sample(range(30), 2) if lam is None else range(lam)
+                x, y = draw(ab, letters), draw(ab, letters)
+                if x != y:
+                    out.append((x, y, depth))
+                    n += 1
+    return out
+
+
+def test_collapse_derivations_pinned_on_deep_pairs():
+    # Pinned from the breadth-first search that generated every level up
+    # to the budget: 36 pairs, 9 found at depth 3, 19 at 4, 5 at 5 and 3
+    # not found; the seed keeps the sweep well under 2 s.
+    blobs = []
+    for x, y, depth in _deep_pairs(10, 4):
+        d = collapse_witness(x, y, depth)
+        blobs.append(None if d is None else d.to_json())
+    assert len(blobs) == 36
+    text = json.dumps(blobs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "2a63f7ef74ffc4c8a48015e991152b09c6c0b736277a1179b72cfb042bc22169"
+
+
+def test_collapse_depth_5_miss_on_the_long_pair():
+    # a depth-6 search for this pair visits over a million states when
+    # every level is generated; depth 5 must answer fast, and with None
+    x = evaluate(parse("a'a'b'b'a'b'b'a'a'b'a'b'", AB2), AB2)
+    y = evaluate(parse("aabbbbaabbab", AB2), AB2)
+    assert collapse_witness(x, y, 5) is None
+
+
+def _inf_ball(letters, radius):
+    ab = Alphabet(None)
+    return [zero(ab)] + [e for n in range(radius + 1) for e in elements_of_size(ab, letters, n)]
+
+
+# Over lambda = inf the letters a, c, g27 leave b as the pool's fresh letter.
+@pytest.mark.parametrize("lam, radius, pairs", [(2, 2, 306), (3, 1, 56), (None, 1, 56)])
 def test_collapse_matches_element_search(lam, radius, pairs):
-    elems = list(ball(Alphabet(lam), radius))
+    elems = list(ball(Alphabet(lam), radius)) if lam else _inf_ball((0, 2, 27), radius)
     seeds = [(x, y) for x in elems for y in elems if x != y]
     assert len(seeds) == pairs
-    for depth in (2, 8):
+    # depths 0-3 put the end of the search on each side of the level scan
+    for depth in (0, 1, 2, 3, 8):
         for x, y in seeds:
             got = collapse_witness(x, y, depth)
             want = collapse_witness_elements(x, y, depth)
@@ -188,6 +246,7 @@ def test_multiplier_pool_order_and_size():
     assert [str(m) for m in pool[:6]] == ["0", "1", "a", "b", "a'", "b'"]
     # both letters occur or are fresh, so the pool is the full radius-2 ball
     assert len(pool) == 18
+    assert pool == [ZERO, ONE, *elements_of_size(AB2, [0, 1], 1), *elements_of_size(AB2, [0, 1], 2)]
     assert len(set(pool)) == len(pool)
 
 
