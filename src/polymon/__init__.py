@@ -52,7 +52,6 @@ from .rewriting import (
     collapse_witness,
     free_word,
     mul_oracle,
-    multiplier_pool,
     reduce,
     verify_derivation,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "rclass_key", "rclass_witness", "solve_axb",
     "evaluate", "parse", "parse_positive_word",
     "Derivation", "DerivationStep", "collapse_witness", "free_word", "mul_oracle",
-    "multiplier_pool", "reduce", "verify_derivation",
+    "reduce", "verify_derivation",
     "CofiniteNbhd", "WitnessFamily", "certify_translations", "cofinite",
     "joint_discontinuity_family", "shrink_neighborhood",
 ]

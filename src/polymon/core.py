@@ -116,10 +116,11 @@ class Alphabet:
 
 
 def make_alphabet(size: "int | str | None") -> Alphabet:
-    """Build an alphabet from an int, None, or the string 'inf'."""
-    if size is None or (isinstance(size, str) and size.lower() in ("inf", "infinite")):
-        return Alphabet(None)
-    return Alphabet(int(size))
+    """Build an alphabet from an int, None, or a string ('inf' or an int).
+    Only a string is converted; ``Alphabet`` checks every other size."""
+    if isinstance(size, str):
+        size = None if size.lower() in ("inf", "infinite") else int(size)
+    return Alphabet(size)
 
 
 @dataclass(frozen=True, repr=False)

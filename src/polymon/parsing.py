@@ -20,7 +20,11 @@ signed word over the doubled alphabet, and ``parse`` emits that word
 itself in the encoding of ``rewriting``: a letter adds itself, '1' adds
 nothing, an odd chain of primes mirrors its term's word and flips every
 sign, and a '0' makes the result None once the whole text has been
-checked.  ``evaluate`` rewrites the word once with ``rewriting.reduce``.
+checked.  So ``parse`` is one loop over the tokens that remembers only
+where each open group's word and the last complete term's word begin;
+nothing recurses, and the nesting cap is a limit of the language, not of
+Python's stack.  ``evaluate`` rewrites the word once with
+``rewriting.reduce``.
 """
 
 from __future__ import annotations
@@ -74,83 +78,65 @@ def tokenize(text: str) -> List[Token]:
     return out
 
 
-_ATOM_START = ("ZERO", "ONE", "LETTER", "LPAREN")
-
-# Deepest parenthesis nesting accepted.  Parsing recurses three frames
-# per level, well inside Python's default recursion limit of 1000; a
-# deeper '(' is a syntax error at its position.
+# Deepest parenthesis nesting accepted; a deeper '(' is a syntax error at
+# its position.  ``parse`` does not recurse, so the cap no longer guards
+# Python's stack; it stays as a limit of the language, so that a text
+# accepted here can also be folded by a recursive evaluator (the tests'
+# oracle of ``evaluate`` is one).
 MAX_NESTING = 200
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        # the END token after the last one carries the text's length
-        self.tokens = tokenize(text)
-        self.tokens.append(("END", len(text), -1))
-        self.alphabet = alphabet
-        self.word: List[int] = []
-        self.is_zero = False
-        self.at = 0
-        self.depth = 0
-
-    def expr(self) -> None:
-        self.term()
-        while True:
-            kind = self.tokens[self.at][0]
-            if kind == "STAR":
-                self.at += 1
-            elif kind not in _ATOM_START:
-                return
-            self.term()
-
-    def term(self) -> None:
-        start = len(self.word)
-        self.atom()
-        odd = False  # fold a chain of primes by parity
-        while self.tokens[self.at][0] == "INVERT":
-            self.at += 1
-            odd = not odd
-        if odd:
-            # the inverse of a word is its mirror image with every sign flipped
-            self.word[start:] = [-s for s in reversed(self.word[start:])]
-
-    def atom(self) -> None:
-        kind, pos, index = self.tokens[self.at]
-        if kind == "END":
-            raise ExpressionSyntaxError("unexpected end of expression", pos)
-        self.at += 1
-        if kind == "LETTER":
-            if index not in self.alphabet:
-                raise UnknownLetter(
-                    f"letter {letter_name(index)} (position {pos}) not in alphabet of size {self.alphabet.size}"
-                )
-            self.word.append(index + 1)
-        elif kind == "LPAREN":
-            if self.depth == MAX_NESTING:
-                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            self.expr()
-            kind, pos, _ = self.tokens[self.at]
-            if kind != "RPAREN":
-                raise ExpressionSyntaxError("expected ')'", pos)
-            self.at += 1
-            self.depth -= 1
-        elif kind == "ZERO":
-            self.is_zero = True  # parsing goes on, so later errors still fire
-        elif kind != "ONE":
-            raise ExpressionSyntaxError(f"unexpected {kind.lower()}", pos)
+def _letter(index: int, pos: int, alphabet: Alphabet) -> int:
+    if index not in alphabet:
+        raise UnknownLetter(f"letter {letter_name(index)} (position {pos}) not in alphabet of size {alphabet.size}")
+    return index
 
 
 def parse(text: str, alphabet: Alphabet) -> Optional[FreeWord]:
     """Parse expression text against a session alphabet into the signed
     word it denotes, in the encoding of ``rewriting``; None when the text
     holds a '0'."""
-    parser = _Parser(text, alphabet)
-    parser.expr()
-    kind, pos, _ = parser.tokens[parser.at]
-    if kind != "END":
-        raise ExpressionSyntaxError(f"unexpected {kind.lower()} after expression", pos)
-    return None if parser.is_zero else tuple(parser.word)
+    word: List[int] = []
+    opened: List[int] = []  # where the word of each open group begins
+    term = 0  # where the word of the last complete term begins
+    odd = is_zero = False
+    expecting = True  # an atom is expected; otherwise a term is complete
+    # the END token after the last one carries the text's length
+    for kind, pos, index in tokenize(text) + [("END", len(text), -1)]:
+        if not expecting:
+            if kind == "INVERT":
+                odd = not odd  # fold a chain of primes by parity
+                continue
+            if odd:
+                # the inverse of a word is its mirror image with every sign flipped
+                word[term:] = [-s for s in reversed(word[term:])]
+                odd = False
+            if kind == "RPAREN":
+                if not opened:
+                    raise ExpressionSyntaxError("unexpected rparen after expression", pos)
+                term = opened.pop()  # the closed group is a term and takes primes
+                continue
+            if kind == "END":
+                if opened:
+                    raise ExpressionSyntaxError("expected ')'", pos)
+                return None if is_zero else tuple(word)
+            expecting = True  # a '*', or the first token of the next factor
+            if kind == "STAR":
+                continue
+        if kind == "LPAREN":
+            if len(opened) == MAX_NESTING:
+                raise ExpressionSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            opened.append(len(word))
+            continue
+        term, expecting = len(word), False
+        if kind == "LETTER":
+            word.append(_letter(index, pos, alphabet) + 1)
+        elif kind == "ZERO":
+            is_zero = True  # parsing goes on, so later errors still fire
+        elif kind == "END":
+            raise ExpressionSyntaxError("unexpected end of expression", pos)
+        elif kind != "ONE":
+            raise ExpressionSyntaxError(f"unexpected {kind.lower()}", pos)
 
 
 def evaluate(word: Optional[FreeWord], alphabet: Alphabet) -> Element:
@@ -165,9 +151,5 @@ def parse_positive_word(text: str, alphabet: Alphabet) -> Word:
     for kind, pos, index in tokenize(text):
         if kind != "LETTER":
             raise ExpressionSyntaxError("positive words are letters only", pos)
-        if index not in alphabet:
-            raise UnknownLetter(
-                f"letter {letter_name(index)} (position {pos}) not in alphabet of size {alphabet.size}"
-            )
-        letters.append(index)
+        letters.append(_letter(index, pos, alphabet))
     return tuple(letters)

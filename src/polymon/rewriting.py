@@ -161,16 +161,11 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
         raise ValueError("derivation does not end at (0, 1)")
 
 
-def multiplier_pool(a: Element, b: Element) -> List[Element]:
-    """Ball of radius 2 over the letters occurring in a, b plus one fresh
-    letter (the smallest non-occurring index, when the alphabet has one),
-    in enumeration order with Zero first."""
-    ab = a.alphabet
-    return [zero(ab), one(ab)] + [Element(ab, u, v) for u, v in _multipliers(a, b)]
-
-
 def _multipliers(a: Element, b: Element) -> List[NormalForm]:
-    """The members of ``multiplier_pool(a, b)`` of size 1 and 2, as bare pairs."""
+    """The nonzero multipliers of size 1 and 2 of the collapse search, as
+    bare pairs: every element of that size over the letters occurring in a,
+    b plus one fresh letter (the smallest non-occurring index, when the
+    alphabet has one), in enumeration order."""
     occurring = set(a.letters() | b.letters())
     fresh = 0
     while fresh in occurring:
@@ -194,10 +189,12 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     derivation of (0, 1); None when none exists within max_depth.
 
     The answer is that of a breadth-first search over ordered pairs with
-    first-discovery parents.  Moves from (x, y), in order: left
-    multiplication by each pool element, right multiplication by each,
-    then symmetry.  Queue and pool order are fixed, so the derivation
-    found is the lexicographically first shortest one, and reproducible.
+    first-discovery parents.  The pool, 0, 1 and then ``_multipliers``, is
+    a ball of radius 2 in enumeration order.  Moves from (x, y), in order:
+    left multiplication by each pool element, right multiplication by
+    each, then symmetry.  Queue and pool order are fixed, so the
+    derivation found is the lexicographically first shortest one, and
+    reproducible.
     Diagonal pairs are pruned: every move sends (x, x) to another
     diagonal pair, which can never become (0, 1).  A negative max_depth
     raises ValueError.  Multiplying by 0 or 1 gives (0, 0) or the pair

@@ -17,7 +17,6 @@ from polymon import (
     ball,
     element,
     generator,
-    multiplier_pool,
     one,
     solve_axb,
     zero,
@@ -140,6 +139,20 @@ def reduce_stepwise(alphabet: Alphabet, word: Iterable[int], strategy: str = "le
         else:
             k = sum(1 for s in w if s < 0)
             return element(alphabet, [-s - 1 for s in reversed(w[:k])], [s - 1 for s in w[k:]])
+
+
+def multiplier_pool(a: Element, b: Element) -> list:
+    """Pool of the ``collapse_witness_elements`` oracle: the ball of radius 2
+    over the letters occurring in a, b plus one fresh letter (the smallest
+    non-occurring index, when the alphabet has one), in enumeration order
+    with Zero first.  Built from ``elements_of_size``, so it shares no code
+    with the library search's pool."""
+    letters = a.letters() | b.letters()
+    fresh = min(set(range(len(letters) + 1)) - letters)
+    if fresh in a.alphabet:
+        letters |= {fresh}
+    ab = a.alphabet
+    return [zero(ab)] + [x for total in range(3) for x in elements_of_size(ab, sorted(letters), total)]
 
 
 def collapse_witness_elements(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:

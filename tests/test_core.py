@@ -64,6 +64,11 @@ def test_make_alphabet_accepts_inf():
     assert make_alphabet("inf") == Alphabet(None)
     assert make_alphabet(None) == Alphabet(None)
     assert make_alphabet(4) == Alphabet(4)
+    assert make_alphabet("3") == Alphabet(3)
+    # only strings are converted: other sizes reach Alphabet's own check
+    for size in (2.9, True, b"3"):
+        with pytest.raises(TypeError, match=f"^alphabet size must be an int or None, got {size!r}$"):
+            make_alphabet(size)
 
 
 def test_alphabet_membership():

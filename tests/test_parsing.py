@@ -1,5 +1,9 @@
 """Expression grammar: signed words, evaluation, render round trips."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,3 +262,42 @@ def test_rendered_trees_parse_back(session, sep, postfix):
     word = parse(render(tree, sep, postfix), ab)
     assert word == parse(render(tree), ab)
     assert evaluate(word, ab) == evaluate_elements(tree, ab)
+
+
+# -- pinned outcomes: words, error types, messages and positions ---------
+
+SYMBOLS = ("a", "c", "0", "1", "(", ")", "*", "'", "^-1", " ")
+OUTCOMES_SHA256 = "0198e9b57c0321993877ee2de91e745c6ccb2f7ca3f54c7553461e380b85c6ae"
+
+
+def outcome_texts():
+    """Every string of up to 4 symbols, then 2000 seeded random strings of
+    up to 40 that also hold lexical errors and long letter names."""
+    texts = [""]
+    layer = [""]
+    for _ in range(4):
+        layer = [t + s for t in layer for s in SYMBOLS]
+        texts += layer
+    rng = random.Random(13)
+    extra = SYMBOLS + ("$", "^", "g27", "g²")
+    texts += ["".join(rng.choice(extra) for _ in range(rng.randint(0, 40))) for _ in range(2000)]
+    return texts
+
+
+def pinned(call, text, ab):
+    try:
+        word = call(text, ab)
+    except PolymonError as err:
+        return [type(err).__name__, str(err)]
+    return word if word is None else list(word)
+
+
+def test_parse_outcomes_are_pinned():
+    records = [
+        pinned(call, text, ab)
+        for text in outcome_texts()
+        for ab in (AB2, Alphabet(None))
+        for call in (parse, parse_positive_word)
+    ]
+    blob = json.dumps(records, ensure_ascii=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == OUTCOMES_SHA256

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import collapse_witness_elements, elements_st, reduce_stepwise
+from helpers import collapse_witness_elements, elements_st, multiplier_pool, reduce_stepwise
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -23,7 +23,6 @@ from polymon import (
     free_word,
     generator,
     mul_oracle,
-    multiplier_pool,
     one,
     parse,
     reduce,
@@ -38,6 +37,7 @@ from polymon.rewriting import (
     SYMMETRY,
     Derivation,
     DerivationStep,
+    _multipliers,
 )
 
 AB2 = Alphabet(2)
@@ -248,6 +248,8 @@ def test_multiplier_pool_order_and_size():
     assert len(pool) == 18
     assert pool == [ZERO, ONE, *elements_of_size(AB2, [0, 1], 1), *elements_of_size(AB2, [0, 1], 2)]
     assert len(set(pool)) == len(pool)
+    # the library search tries the same multipliers past 0 and 1, as bare pairs
+    assert _multipliers(A.inverse() * A, ONE) == [(m.u, m.v) for m in pool[2:]]
 
 
 def test_multiplier_pool_fresh_letter_only_when_available():
@@ -258,6 +260,7 @@ def test_multiplier_pool_fresh_letter_only_when_available():
     for m in pool:
         letters |= m.letters()
     assert letters == {0, 1}  # the occurring letter plus one fresh letter
+    assert _multipliers(x.inverse() * x, one(ab3)) == [(m.u, m.v) for m in pool[2:]]
 
 
 def test_derivation_json_shape():
