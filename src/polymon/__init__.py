@@ -31,8 +31,6 @@ from .errors import (
     TooFewGenerators,
     UnknownLetter,
     ZeroArgument,
-    ZeroHasNoDownset,
-    ZeroTarget,
 )
 from .green import (
     Ball,
@@ -57,7 +55,6 @@ from .rewriting import (
 )
 from .topology import (
     CofiniteNbhd,
-    WitnessFamily,
     certify_translations,
     cofinite,
     joint_discontinuity_family,
@@ -70,14 +67,13 @@ __all__ = [
     "Alphabet", "Element", "element", "enumeration_key", "generator",
     "letter_name", "make_alphabet", "one", "render_word", "zero",
     "PolymonError", "TooFewGenerators", "AlphabetMismatch", "UnknownLetter",
-    "ZeroHasNoDownset", "ZeroArgument", "KeyMismatch", "InfiniteAlphabet",
-    "EqualPair", "ZeroTarget",
+    "ZeroArgument", "KeyMismatch", "InfiniteAlphabet", "EqualPair",
     "ExpressionSyntaxError",
     "Ball", "RClassKey", "act", "ball", "ball_cardinality", "cayley_dot",
     "rclass_key", "rclass_witness", "solve_axb",
     "evaluate", "parse", "parse_positive_word",
     "Derivation", "DerivationStep", "collapse_witness", "free_word", "mul_oracle",
     "reduce", "verify_derivation",
-    "CofiniteNbhd", "WitnessFamily", "certify_translations", "cofinite",
+    "CofiniteNbhd", "certify_translations", "cofinite",
     "joint_discontinuity_family", "shrink_neighborhood",
 ]

@@ -205,9 +205,9 @@ def _witness(args, alphabet: Alphabet) -> int:
     if args.k > MAX_WITNESS_PAIRS:
         raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
     c = one(alphabet) if args.c is None else _eval(args.c, alphabet)
-    family = joint_discontinuity_family(c, args.k)
-    text = "\n".join(f"{a} {b}" for a, b in family.pairs)
-    _emit(args, text, family.to_json())
+    pairs = joint_discontinuity_family(c, args.k)
+    _emit(args, "\n".join(f"{a} {b}" for a, b in pairs),
+          {"target": c.to_json(), "pairs": [[a.to_json(), b.to_json()] for a, b in pairs]})
     return 0
 
 

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import (
-    AlphabetMismatch,
-    TooFewGenerators,
-    UnknownLetter,
-    ZeroHasNoDownset,
-)
+from .errors import AlphabetMismatch, TooFewGenerators, UnknownLetter, ZeroArgument
 
 Word = Tuple[int, ...]
 
@@ -116,10 +111,16 @@ class Alphabet:
 
 
 def make_alphabet(size: "int | str | None") -> Alphabet:
-    """Build an alphabet from an int, None, or a string ('inf' or an int).
-    Only a string is converted; ``Alphabet`` checks every other size."""
+    """Build an alphabet from an int, None, or a string: 'inf' or
+    'infinite' in any case, or ASCII digits only, the rule of a ``g``
+    letter index.  Only a string is converted; ``Alphabet`` checks every
+    other size."""
     if isinstance(size, str):
-        size = None if size.lower() in ("inf", "infinite") else int(size)
+        if size.lower() in ("inf", "infinite"):
+            return Alphabet(None)
+        if not (size.isascii() and size.isdigit()):
+            raise ValueError(f"alphabet size must be 'inf' or ASCII digits, got {size!r}")
+        size = int(size)
     return Alphabet(size)
 
 
@@ -187,7 +188,7 @@ class Element:
         and has no downset.
         """
         if self.u is None or self.v is None:
-            raise ZeroHasNoDownset("zero has no prefix set")
+            raise ZeroArgument("zero has no prefix set")
         out = [Element(self.alphabet, (), ())]
         m = len(self.u)
         for j in range(1, m + 1):

@@ -23,10 +23,6 @@ class UnknownLetter(PolymonError):
     """Letter index outside the alphabet."""
 
 
-class ZeroHasNoDownset(PolymonError):
-    """Zero is not a normal form and has no prefix set."""
-
-
 class ZeroArgument(PolymonError):
     """Operation requires nonzero arguments."""
 
@@ -41,10 +37,6 @@ class InfiniteAlphabet(PolymonError):
 
 class EqualPair(PolymonError):
     """Congruence seed must identify two distinct elements."""
-
-
-class ZeroTarget(PolymonError):
-    """Witness family target must be nonzero."""
 
 
 class ExpressionSyntaxError(PolymonError):

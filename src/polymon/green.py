@@ -162,17 +162,14 @@ def cayley_dot(b: Ball) -> str:
     gens = [(i, Element(b.alphabet, (), (i,))) for i in range(b.alphabet.size or 0)]
     ids = {x: f"n{k}" for k, x in enumerate(b.elements)}
     edges = []
-    extras: List[Element] = []
     for x in b.elements:
         for i, g in gens:
             y = x * g
             if y not in ids:
                 ids[y] = f"n{len(ids)}"
-                extras.append(y)
             edges.append(f'  {ids[x]} -> {ids[y]} [label="{letter_name(i)}"];')
     lines = ["digraph cayley {"]
-    for x in list(b.elements) + extras:
-        lines.append(f'  {ids[x]} [label="{x}"];')
+    lines.extend(f'  {n} [label="{x}"];' for x, n in ids.items())
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -291,9 +291,10 @@ def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
 
 def _solved(pool: List[NormalForm], index: Dict[NormalForm, int], cache: dict, side: int,
             word: Optional[Word], free: bool, extra: Optional[NormalForm]) -> List[int]:
-    """Pool indices, ascending, of the members m whose component ``side``
-    is suffix-comparable with word (None: no member) and whose other
-    component is empty unless free; plus extra's.
+    """Pool indices, ascending, of the members m whose component s =
+    m[side] is suffix-comparable with word, that is ((), s) * (word, ())
+    is nonzero (None: no member), and whose other component is empty
+    unless free; plus extra's.
 
     Members have size at most 2, so word[-2:] decides which, and the
     cache is keyed on it.  Lists, not tuples: freed tuples of a dozen
@@ -302,17 +303,11 @@ def _solved(pool: List[NormalForm], index: Dict[NormalForm, int], cache: dict, s
     got = cache.get((side, key, free))
     if got is None:
         got = cache[side, key, free] = [] if key is None else [
-            i for i, m in enumerate(pool) if (free or not m[1 - side]) and _comparable(m[side], key)]
+            i for i, m in enumerate(pool) if (free or not m[1 - side]) and mul_nf((), m[side], key, ()) is not None]
     i = None if extra is None else index.get(extra)
     if i is not None and i not in got:
         got = sorted(got + [i])
     return got
-
-
-def _comparable(s: Word, t: Word) -> bool:
-    """Whether one word is a suffix of the other."""
-    n = min(len(s), len(t))
-    return s[len(s) - n:] == t[len(t) - n:]
 
 
 def _scan(level: List[State], pool: List[NormalForm], index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:

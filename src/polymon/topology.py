@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
 from .core import Alphabet, Element, NormalForm, enumeration_key
-from .errors import AlphabetMismatch, ZeroArgument, ZeroTarget
+from .errors import AlphabetMismatch, ZeroArgument
 from .green import _solve_left
 
 
@@ -128,42 +128,13 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     return bad
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
-    """Pairs (a_k, b_k) of strictly growing depth whose products all hit
-    one fixed nonzero target; the components themselves escape every
-    cofinite neighborhood, so multiplication is not jointly continuous
-    at (0, 0)."""
-
-    target: Element
-    pairs: Tuple[Tuple[Element, Element], ...]
-
-    def __post_init__(self) -> None:
-        lefts = [p[0] for p in self.pairs]
-        rights = [p[1] for p in self.pairs]
-        if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-            raise ValueError("witness components must be pairwise distinct")
-        for a, b in self.pairs:
-            if a * b != self.target:
-                raise ValueError(f"witness pair {a}, {b} misses the target {self.target}")
-
-    def to_json(self) -> dict:
-        return {
-            "target": self.target.to_json(),
-            "pairs": [[a.to_json(), b.to_json()] for a, b in self.pairs],
-        }
-
-
-def joint_discontinuity_family(c: Element, k: int) -> WitnessFamily:
+def joint_discontinuity_family(c: Element, k: int) -> Tuple[Tuple[Element, Element], ...]:
     """First k witness pairs for the target c = (u, v): with w the run of
-    the first letter at depth i, pair i is ((u, w), (w, v))."""
+    the first letter at depth i, pair i is ((u, w), (w, v)), whose
+    product is c by the suffix rule of ``*``.  The components are
+    pairwise distinct, so they escape every cofinite neighborhood."""
     if c.is_zero:
-        raise ZeroTarget("witness families exist only for nonzero targets")
+        raise ZeroArgument("witness families exist only for nonzero targets")
     if k < 1:
         raise ValueError(f"need at least one pair, got k={k}")
-    pairs = []
-    for i in range(1, k + 1):
-        w = (0,) * i
-        pairs.append((Element(c.alphabet, c.u, w), Element(c.alphabet, w, c.v)))
-    return WitnessFamily(c, tuple(pairs))
-
+    return tuple((Element(c.alphabet, c.u, (0,) * i), Element(c.alphabet, (0,) * i, c.v)) for i in range(1, k + 1))

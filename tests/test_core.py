@@ -13,7 +13,7 @@ from polymon import (
     Element,
     TooFewGenerators,
     UnknownLetter,
-    ZeroHasNoDownset,
+    ZeroArgument,
     ball,
     element,
     enumeration_key,
@@ -65,6 +65,12 @@ def test_make_alphabet_accepts_inf():
     assert make_alphabet(None) == Alphabet(None)
     assert make_alphabet(4) == Alphabet(4)
     assert make_alphabet("3") == Alphabet(3)
+    assert make_alphabet("INFINITE") == Alphabet(None)
+    # a string size takes ASCII digits only, like a g letter index
+    for text in (" 3 ", "1_0", "+3", "-3", "\u0663", "many", ""):
+        with pytest.raises(ValueError) as exc:
+            make_alphabet(text)
+        assert str(exc.value) == f"alphabet size must be 'inf' or ASCII digits, got {text!r}"
     # only strings are converted: other sizes reach Alphabet's own check
     for size in (2.9, True, b"3"):
         with pytest.raises(TypeError, match=f"^alphabet size must be an int or None, got {size!r}$"):
@@ -200,7 +206,7 @@ def test_downset_examples():
     assert ONE.downset() == [ONE]
     x = element(AB2, (0, 1), (0,))  # b'a'a
     assert [str(e) for e in x.downset()] == ["1", "b'", "b'a'", "b'a'a"]
-    with pytest.raises(ZeroHasNoDownset):
+    with pytest.raises(ZeroArgument, match="^zero has no prefix set$"):
         ZERO.downset()
 
 

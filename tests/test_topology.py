@@ -10,12 +10,11 @@ from polymon import (
     AlphabetMismatch,
     CofiniteNbhd,
     Element,
-    WitnessFamily,
     ZeroArgument,
-    ZeroTarget,
     ball,
     certify_translations,
     cofinite,
+    element,
     generator,
     joint_discontinuity_family,
     one,
@@ -204,36 +203,34 @@ def test_certify_huge_radius_needs_no_ball():
 
 
 def test_witness_family_unit_target():
-    fam = joint_discontinuity_family(ONE, 3)
-    assert fam.target == ONE
-    rendered = [(str(x), str(y)) for x, y in fam.pairs]
+    pairs = joint_discontinuity_family(ONE, 3)
+    rendered = [(str(x), str(y)) for x, y in pairs]
     assert rendered == [("a", "a'"), ("aa", "a'a'"), ("aaa", "a'a'a'")]
 
 
 def test_witness_family_general_target():
-    c = A.inverse() * B
-    fam = joint_discontinuity_family(c, 2)
-    assert all(x * y == c for x, y in fam.pairs)
-    assert [str(x) for x, _ in fam.pairs] == ["a'a", "a'aa"]
-    assert [str(y) for _, y in fam.pairs] == ["a'b", "a'a'b"]
+    pairs = joint_discontinuity_family(A.inverse() * B, 2)
+    assert [str(x) for x, _ in pairs] == ["a'a", "a'aa"]
+    assert [str(y) for _, y in pairs] == ["a'b", "a'a'b"]
+    # every product is the target, and no component repeats
+    for c in (ONE, A.inverse() * B, element(AB2, (0, 1), (0,)), element(Alphabet(None), (30,), (7, 30))):
+        pairs = joint_discontinuity_family(c, 20)
+        assert all(x * y == c for x, y in pairs)
+        for side in (0, 1):
+            assert len({pair[side] for pair in pairs}) == 20
 
 
 def test_witness_family_guards():
-    with pytest.raises(ZeroTarget):
+    with pytest.raises(ZeroArgument, match="^witness families exist only for nonzero targets$"):
         joint_discontinuity_family(ZERO, 2)
     with pytest.raises(ValueError):
         joint_discontinuity_family(ONE, 0)
-    with pytest.raises(ValueError):
-        WitnessFamily(ONE, ((A, B),))  # a * b is ab, not the target
-    with pytest.raises(ValueError):
-        WitnessFamily(ONE, ((A, A.inverse()), (A, A.inverse())))  # repeats
 
 
 def test_family_escapes_every_cofinite_neighborhood():
     for n in range(5):
         U = cofinite(AB2, ball(AB2, n).nonzero)
-        fam = joint_discontinuity_family(ONE, n + 1)
-        x, y = fam.pairs[-1]
+        x, y = joint_discontinuity_family(ONE, n + 1)[-1]
         assert x in U and y in U
         assert x * y == ONE
 
