@@ -2,28 +2,17 @@
 
 Exit status: 0 success (including a collapse search that finds nothing),
 1 domain error, unwritable output file or an input over a size cap,
-2 syntax/usage error.
+2 syntax/usage error.  Every call is a fresh process, so each subcommand
+imports only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional
 
 from .core import Alphabet, make_alphabet, one, render_word
 from .errors import ExpressionSyntaxError, PolymonError
-from .green import act, ball, ball_cardinality, cayley_dot, rclass_key, solve_axb
-from .parsing import parse, parse_positive_word, evaluate
-from .rewriting import collapse_witness
-from .topology import (
-    CofiniteNbhd,
-    certify_translations,
-    cofinite,
-    joint_discontinuity_family,
-    shrink_neighborhood,
-)
 
 
 # Size caps, checked before any work starts; an input over a cap exits 1.
@@ -104,11 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _eval(text: str, alphabet: Alphabet):
+    from .parsing import evaluate, parse
     return evaluate(parse(text, alphabet), alphabet)
 
 
 def _emit(args, text: str, obj) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(obj))
     else:
         print(text)
@@ -124,18 +115,23 @@ def _run(args, alphabet: Alphabet) -> int:
         x = _eval(args.expr, alphabet)
         _emit(args, str(x), x.to_json())
     elif cmd == "solve":
+        from .green import solve_axb
         sols = solve_axb(_eval(args.a, alphabet), _eval(args.b, alphabet), _eval(args.c, alphabet))
         _element_list(args, sols)
     elif cmd == "downset":
         _element_list(args, _eval(args.expr, alphabet).downset())
     elif cmd == "rclass":
+        from .green import rclass_key
         rep = rclass_key(_eval(args.expr, alphabet)).representative(alphabet)
         _emit(args, str(rep), rep.to_json())
     elif cmd == "ball":
+        from .green import ball
         _check_ball(alphabet, args.radius, "elements", 1)
         b = ball(alphabet, args.radius)
         _emit(args, "\n".join(str(e) for e in b), [e.to_json() for e in b])
     elif cmd == "act":
+        from .green import act
+        from .parsing import parse_positive_word
         result = act(_eval(args.expr, alphabet), parse_positive_word(args.word, alphabet))
         if result is None:
             _emit(args, "undefined", {"undefined": True})
@@ -158,6 +154,7 @@ def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) ->
     """Reject a radius whose ball, counted per_element times, exceeds
     MAX_BALL_ELEMENTS.  Infinite alphabets and negative radii are left
     to ``ball`` to reject."""
+    from .green import ball_cardinality
     lam = alphabet.size
     if lam is None or radius < 0:
         return
@@ -168,6 +165,7 @@ def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) ->
 
 
 def _continuity(args, alphabet: Alphabet) -> int:
+    from .topology import CofiniteNbhd, certify_translations, cofinite, shrink_neighborhood
     a = _eval(args.a, alphabet)
     items = [s for s in (piece.strip() for piece in args.exclude.split(",")) if s]
     target = cofinite(alphabet, [_eval(s, alphabet) for s in items])
@@ -202,6 +200,7 @@ def _continuity(args, alphabet: Alphabet) -> int:
 
 
 def _witness(args, alphabet: Alphabet) -> int:
+    from .topology import joint_discontinuity_family
     if args.k > MAX_WITNESS_PAIRS:
         raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
     c = one(alphabet) if args.c is None else _eval(args.c, alphabet)
@@ -212,6 +211,7 @@ def _witness(args, alphabet: Alphabet) -> int:
 
 
 def _collapse(args, alphabet: Alphabet) -> int:
+    from .rewriting import collapse_witness
     if args.depth > MAX_COLLAPSE_DEPTH:
         raise ValueError(f"depth {args.depth} is above the cap of {MAX_COLLAPSE_DEPTH}")
     derivation = collapse_witness(_eval(args.a, alphabet), _eval(args.b, alphabet), args.depth)
@@ -230,6 +230,7 @@ def _collapse(args, alphabet: Alphabet) -> int:
 
 
 def _export_dot(args, alphabet: Alphabet) -> int:
+    from .green import ball, cayley_dot
     _check_ball(alphabet, args.radius, "edges", alphabet.size or 1)
     b = ball(alphabet, args.radius)
     dot = cayley_dot(b)
@@ -264,7 +265,7 @@ def _repl(args, alphabet: Alphabet) -> int:
             print(f"error: {err}", file=sys.stderr)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _run(args, args.alphabet)

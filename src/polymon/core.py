@@ -29,7 +29,6 @@ letters compared by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -73,8 +72,39 @@ def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[
     return None
 
 
-@dataclass(frozen=True)
-class Alphabet:
+_set = object.__setattr__  # writes a slot past _Value.__setattr__
+
+
+class _Value:
+    """Immutable value with its fields, named in ``_fields``, in slots: equal
+    only to an object of its class with equal fields, and hashed, shown and
+    pickled as those fields.  Setting or deleting attributes raises AttributeError."""
+
+    __slots__ = _fields = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+class Alphabet(_Value):
     """Generator alphabet; ``size=None`` means countably infinite.
 
     Sizes below 2 are rejected: with one generator the relations force
@@ -84,13 +114,22 @@ class Alphabet:
     a bool, which Python counts as an int; a bool is no letter either.
     """
 
-    size: Optional[int] = None
+    __slots__ = ("size", "_hash")
+    _fields = ("size",)
 
-    def __post_init__(self) -> None:
-        if self.size is not None and (not isinstance(self.size, int) or type(self.size) is bool):
-            raise TypeError(f"alphabet size must be an int or None, got {self.size!r}")
-        if self.size is not None and self.size < 2:
-            raise TooFewGenerators(f"alphabet needs at least 2 letters, got {self.size}")
+    def __init__(self, size: Optional[int] = None) -> None:
+        if size is not None and (not isinstance(size, int) or type(size) is bool):
+            raise TypeError(f"alphabet size must be an int or None, got {size!r}")
+        if size is not None and size < 2:
+            raise TooFewGenerators(f"alphabet needs at least 2 letters, got {size}")
+        _set(self, "size", size)
+        _set(self, "_hash", hash((size,)))
+
+    def __eq__(self, other):
+        return self.size == other.size if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_finite(self) -> bool:
@@ -124,23 +163,35 @@ def make_alphabet(size: "int | str | None") -> Alphabet:
     return Alphabet(size)
 
 
-@dataclass(frozen=True, repr=False)
-class Element:
+class Element(_Value):
     """One monoid element: Zero (u is None) or the normal form (u, v).
 
-    Instances are immutable and hashable; equality is structural on the
-    normal form, which is unique, so it coincides with equality in the
-    monoid.  Direct construction skips letter validation; use the
-    ``element``/``generator`` factories for unchecked input.
+    Instances are immutable and hashable, the hash kept from its first use;
+    equality is structural on the normal form, which is unique, so it
+    coincides with equality in the monoid.  Direct construction skips letter
+    validation; use the ``element``/``generator`` factories for unchecked input.
     """
 
-    alphabet: Alphabet
-    u: Optional[Word]
-    v: Optional[Word]
+    __slots__ = ("alphabet", "u", "v", "_hash")
+    _fields = ("alphabet", "u", "v")
 
-    def __post_init__(self) -> None:
-        if (self.u is None) != (self.v is None):
+    def __init__(self, alphabet: Alphabet, u: Optional[Word], v: Optional[Word]) -> None:
+        if (u is None) != (v is None):
             raise ValueError("zero has neither component; normal forms have both")
+        _set_alphabet(self, alphabet)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _set_hash(self, hash((self.alphabet, self.u, self.v)))
+        return self._hash
 
     # -- predicates ----------------------------------------------------
 
@@ -166,7 +217,7 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(f"{self.alphabet} vs {other.alphabet}")
         nf = mul_nf(self.u, self.v, other.u, other.v)
         if nf is None:
@@ -216,6 +267,10 @@ class Element:
         if self.u is None or self.v is None:
             return {"zero": True}
         return {"u": list(self.u), "v": list(self.v)}
+
+
+# Element's slot writers; faster than _set, which looks the slot up by name
+_set_alphabet, _set_u, _set_v, _set_hash = (getattr(Element, n).__set__ for n in ("alphabet", "u", "v", "_hash"))
 
 
 # -- factories ---------------------------------------------------------

@@ -10,7 +10,6 @@ top at the right end).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -18,6 +17,8 @@ from .core import (
     Element,
     NormalForm,
     Word,
+    _set,
+    _Value,
     elements_of_size,
     enumeration_key,
     letter_name,
@@ -31,11 +32,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RClassKey:
+class RClassKey(_Value):
     """R-class label: the first component u, or None for the class of Zero."""
 
-    word: Optional[Word]
+    __slots__ = _fields = ("word",)
+
+    def __init__(self, word: Optional[Word]) -> None:
+        _set(self, "word", word)  # not _Value.__init__: rclass_key is hot
 
     def representative(self, alphabet: Alphabet) -> Element:
         """Canonical member: Zero, or the pure inverse word (u, empty)."""
@@ -65,13 +68,10 @@ def ball_cardinality(lam: int, n: int) -> int:
     return 1 + sum((k + 1) * lam ** k for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Value):
     """All elements with |u| + |v| <= radius, plus Zero, in enumeration order."""
 
-    alphabet: Alphabet
-    radius: int
-    elements: Tuple[Element, ...]
+    __slots__ = _fields = ("alphabet", "radius", "elements")
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)

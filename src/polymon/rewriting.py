@@ -27,11 +27,10 @@ generates every level, over ``Element`` pairs, as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Alphabet, Element, NormalForm, Word, mul_nf, one, zero
+from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, one, zero
 from .errors import AlphabetMismatch, EqualPair, UnknownLetter, ZeroArgument
 
 FreeWord = Tuple[int, ...]
@@ -95,13 +94,16 @@ def mul_oracle(x: Element, y: Element) -> Element:
 # -- congruence collapse ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    """One pair of a derivation and the rule deriving it from the pair before."""
+class DerivationStep(_Value):
+    """One pair of a derivation and the rule deriving it from the pair
+    before; ``by`` is the multiplier of a left or right multiplication."""
 
-    rule: str
-    pair: Tuple[Element, Element]
-    by: Optional[Element] = None  # multiplier for left/right-multiply
+    __slots__ = _fields = ("rule", "pair", "by")
+
+    def __init__(self, rule: str, pair: Tuple[Element, Element], by: Optional[Element] = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "pair", pair)
+        _set(self, "by", by)
 
     def to_json(self) -> dict:
         out: dict = {"rule": self.rule, "pair": [self.pair[0].to_json(), self.pair[1].to_json()]}
@@ -110,11 +112,10 @@ class DerivationStep:
         return out
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Value):
     """Chain of pairs from a seed identification down to (0, 1)."""
 
-    steps: Tuple[DerivationStep, ...]
+    __slots__ = _fields = ("steps",)
 
     @property
     def final_pair(self) -> Tuple[Element, Element]:

@@ -22,28 +22,25 @@ target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Set, Tuple
 
-from .core import Alphabet, Element, NormalForm, enumeration_key
+from .core import Alphabet, Element, NormalForm, _Value, enumeration_key
 from .errors import AlphabetMismatch, ZeroArgument
 from .green import _solve_left
 
 
-@dataclass(frozen=True)
-class CofiniteNbhd:
+class CofiniteNbhd(_Value):
     """Neighborhood of Zero: everything except a finite set of nonzero
     elements.  Membership: x in U iff x is Zero or x is not excluded."""
 
-    alphabet: Alphabet
-    excluded: "frozenset[Element]"
+    __slots__ = _fields = ("alphabet", "excluded")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
+    def __init__(self, alphabet: Alphabet, excluded: Iterable[Element]) -> None:
+        super().__init__(alphabet, frozenset(excluded))
         for f in self.excluded:
             if f.is_zero:
                 raise ZeroArgument("Zero belongs to every neighborhood of Zero; it cannot be excluded")
-            if f.alphabet != self.alphabet:
+            if f.alphabet != alphabet:
                 raise AlphabetMismatch(f"excluded element {f} over a different alphabet")
 
     def __contains__(self, x: Element) -> bool:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from typing import Dict, Iterable, Optional, Tuple
 
 from hypothesis import strategies as st
 
+import polymon
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -23,6 +27,17 @@ from polymon import (
 )
 from polymon.core import elements_of_size
 from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
+
+
+def run_python(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports
+    the same polymon as this one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polymon.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def words_st(lam: int, max_len: int = 4):

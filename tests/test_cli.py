@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_python
 from polymon import cli
 from polymon.cli import MAX_BALL_ELEMENTS, MAX_COLLAPSE_DEPTH, MAX_WITNESS_PAIRS, main
 
@@ -22,6 +23,20 @@ def run(capsys, *argv):
 
 def test_eval_text(capsys):
     assert run(capsys, "eval", "a a'", "--lambda", "2") == (0, "1\n", "")
+
+
+def test_eval_loads_only_what_it_uses():
+    """Every call of ``polymon`` is a fresh process, so ``eval`` must not
+    pay for the modules of other subcommands, nor for json or dataclasses."""
+    out = run_python("import sys\n"
+                     "before = set(sys.modules)\n"
+                     "from polymon.cli import main\n"
+                     "main(['eval', 'a'])\n"
+                     "print(' '.join(sorted(set(sys.modules) - before)))")
+    printed, loaded = out.splitlines()
+    assert printed == "a"
+    assert {"polymon.cli", "polymon.parsing"} <= set(loaded.split())
+    assert {"dataclasses", "json", "polymon.green", "polymon.topology"}.isdisjoint(loaded.split())
 
 
 def test_eval_json(capsys):

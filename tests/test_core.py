@@ -1,5 +1,7 @@
 """Core arithmetic: alphabets, normal forms, products, downsets, rendering."""
 
+import copy
+import pickle
 import random
 from itertools import product as iproduct
 
@@ -10,17 +12,21 @@ from helpers import elements_st, random_element
 from polymon import (
     Alphabet,
     AlphabetMismatch,
+    Derivation,
+    DerivationStep,
     Element,
     TooFewGenerators,
     UnknownLetter,
     ZeroArgument,
     ball,
+    cofinite,
     element,
     enumeration_key,
     generator,
     make_alphabet,
     mul_oracle,
     one,
+    rclass_key,
     reduce,
     zero,
 )
@@ -275,3 +281,56 @@ def test_hash_consistency():
     d = {A: 1, A.inverse(): 2}
     assert d[generator(AB2, 0)] == 1
     assert d[element(AB2, (0,), ())] == 2
+
+
+# One value of each immutable class and one of its fields.
+VALUES = {
+    "Alphabet": (AB3, "size"),
+    "Element": (element(AB2, (0,), (1,)), "u"),
+    "RClassKey": (rclass_key(element(AB2, (0,), (1,))), "word"),
+    "Ball": (ball(AB2, 1), "radius"),
+    "DerivationStep": (DerivationStep("seed", (A, ONE)), "rule"),
+    "Derivation": (Derivation((DerivationStep("seed", (A, ONE)),)), "steps"),
+    "CofiniteNbhd": (cofinite(AB2, [A, B]), "excluded"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_are_immutable(name):
+    value, field = VALUES[name]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_copy_and_pickle_to_equal_values(name):
+    value, _ = VALUES[name]
+    for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert again == value and not again != value
+        assert hash(again) == hash(value)
+
+
+def test_element_equality_needs_an_element_over_an_equal_alphabet():
+    x = element(AB2, (0,), (1,))
+    for other in [(AB2, (0,), (1,)), ((0,), (1,)), (AB2, (0,), (1,), None)]:
+        assert x != other and other != x and not x == other
+    assert element(Alphabet(2), (0,), (1,)) != element(Alphabet(3), (0,), (1,))
+    assert zero(Alphabet(2)) != zero(Alphabet(3))
+    assert rclass_key(x) != (x.u,)
+    # a second, equal alphabet object: equal values, equal hashes, today's hash
+    y = element(Alphabet(2), (0,), (1,))
+    assert y == x and hash(y) == hash(x) == hash((AB2, (0,), (1,)))
+    assert hash(zero(Alphabet(2))) == hash(ZERO) == hash((AB2, None, None))
+    assert hash(Alphabet(3)) == hash(AB3) == hash((3,))
+    assert hash(Alphabet(None)) == hash((None,))
+
+
+def test_alphabet_repr():
+    assert repr(Alphabet(None)) == "Alphabet(size=None)"
+    assert repr(Alphabet(3)) == "Alphabet(size=3)"
