@@ -3,7 +3,8 @@
 The package is organized by concern:
 
 - ``core``: alphabets, normal forms, closed-form arithmetic
-- ``rewriting``: the free-word oracle and congruence-collapse search
+- ``rewriting``: the free-word oracle behind every product
+- ``collapse``: the congruence-collapse search and its replay
 - ``green``: R-classes, the finite equation solver, balls, stack action
 - ``topology``: the compact one-point model and continuity certificates
 - ``parsing`` / ``cli``: expression front end and the ``polymon`` command
@@ -21,7 +22,8 @@ _HOMES = {name: module for module, names in (
                "InfiniteAlphabet EqualPair ExpressionSyntaxError"),
     ("green", "Ball RClassKey act ball ball_cardinality cayley_dot rclass_key rclass_witness solve_axb"),
     ("parsing", "evaluate parse parse_positive_word"),
-    ("rewriting", "Derivation DerivationStep collapse_witness free_word mul_oracle reduce verify_derivation"),
+    ("rewriting", "free_word mul_oracle reduce"),
+    ("collapse", "Derivation DerivationStep collapse_witness verify_derivation"),
     ("topology", "CofiniteNbhd certify_translations cofinite joint_discontinuity_family shrink_neighborhood"),
 ) for name in names.split()}
 

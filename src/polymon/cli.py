@@ -211,7 +211,7 @@ def _witness(args, alphabet: Alphabet) -> int:
 
 
 def _collapse(args, alphabet: Alphabet) -> int:
-    from .rewriting import collapse_witness
+    from .collapse import collapse_witness
     if args.depth > MAX_COLLAPSE_DEPTH:
         raise ValueError(f"depth {args.depth} is above the cap of {MAX_COLLAPSE_DEPTH}")
     derivation = collapse_witness(_eval(args.a, alphabet), _eval(args.b, alphabet), args.depth)

@@ -1,0 +1,329 @@
+"""Congruence collapse: a derivation of (0, 1) from one identified pair.
+
+``collapse_witness`` searches the congruence generated by one pair for a
+derivation of (0, 1): identifying any two distinct elements collapses
+the whole monoid.  Not finding one within the depth budget is a legal
+outcome, reported as None, never as an error.  A derivation is a chain:
+each pair follows from the one before by a left or right multiplication
+or a swap.  The search runs on bare normal forms through ``core.mul_nf``;
+the derivation it returns, and ``verify_derivation`` replaying it, use
+``Element``.  The test suite keeps the breadth-first search that
+generates every level, over ``Element`` pairs, as its oracle.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product
+from typing import Dict, List, Optional, Tuple
+
+from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, one, zero
+from .errors import AlphabetMismatch, EqualPair
+
+SEED = "seed"
+LEFT_MULTIPLY = "left-multiply"
+RIGHT_MULTIPLY = "right-multiply"
+SYMMETRY = "symmetry"
+
+
+class DerivationStep(_Value):
+    """One pair of a derivation and the rule deriving it from the pair
+    before; ``by`` is the multiplier of a left or right multiplication."""
+
+    __slots__ = _fields = ("rule", "pair", "by")
+
+    def __init__(self, rule: str, pair: Tuple[Element, Element], by: Optional[Element] = None) -> None:
+        _set(self, "rule", rule)
+        _set(self, "pair", pair)
+        _set(self, "by", by)
+
+    def to_json(self) -> dict:
+        out: dict = {"rule": self.rule, "pair": [self.pair[0].to_json(), self.pair[1].to_json()]}
+        if self.by is not None:
+            out["by"] = self.by.to_json()
+        return out
+
+
+class Derivation(_Value):
+    """Chain of pairs from a seed identification down to (0, 1)."""
+
+    __slots__ = _fields = ("steps",)
+
+    @property
+    def final_pair(self) -> Tuple[Element, Element]:
+        return self.steps[-1].pair
+
+    @property
+    def depth(self) -> int:
+        """Steps after the seed."""
+        return len(self.steps) - 1
+
+    def to_json(self) -> dict:
+        return {"steps": [s.to_json() for s in self.steps]}
+
+
+def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = None) -> None:
+    """Replay a derivation with the closed-form product, each step from the
+    one before; raise ValueError on the first step its rule does not give."""
+    if not d.steps:
+        raise ValueError("empty derivation")
+    first = d.steps[0]
+    if first.rule != SEED:
+        raise ValueError(f"step 0 must be the seed, got {first.rule}")
+    if seed is not None and first.pair != seed:
+        raise ValueError(f"seed pair {first.pair} differs from expected {seed}")
+    for i in range(1, len(d.steps)):
+        step = d.steps[i]
+        px, py = d.steps[i - 1].pair
+        m = step.by
+        if step.rule == SYMMETRY:
+            expected = (py, px)
+        elif step.rule not in (LEFT_MULTIPLY, RIGHT_MULTIPLY):
+            raise ValueError(f"step {i}: unknown rule {step.rule!r}")
+        elif m is None:
+            expected = None  # a multiplication without its multiplier never replays
+        else:
+            try:
+                expected = (m * px, m * py) if step.rule == LEFT_MULTIPLY else (px * m, py * m)
+            except AlphabetMismatch:
+                expected = None  # nor does a product across alphabets
+        if expected is None or step.pair != expected:
+            raise ValueError(f"step {i}: {step.rule} does not replay")
+    ab = d.steps[0].pair[0].alphabet
+    if d.final_pair != (zero(ab), one(ab)):
+        raise ValueError("derivation does not end at (0, 1)")
+
+
+def _letters(a: Element, b: Element) -> Tuple[int, ...]:
+    """The letters of the collapse search's multipliers, ascending: those
+    occurring in a, b plus one fresh letter (the smallest non-occurring
+    index, when the alphabet has one)."""
+    occurring = set(a.letters() | b.letters())
+    fresh = 0
+    while fresh in occurring:
+        fresh += 1
+    if fresh in a.alphabet:
+        occurring.add(fresh)
+    return tuple(sorted(occurring))
+
+
+Pool = Tuple[NormalForm, ...]
+
+
+@lru_cache(maxsize=32)
+def _tables(letters: Tuple[int, ...]) -> Tuple[Pool, Dict[NormalForm, int], dict]:
+    """The search's tables for one letter tuple, built on its first search
+    and shared by every later one: the pool of nonzero multipliers of size
+    1 and 2 over those letters as bare pairs, in enumeration order; its
+    index, member -> position; and the ``_solved`` memo.
+
+    No search writes to the pool or the index, and ``_solved`` only adds
+    lists it never changes afterwards.  The cache holds at most 32 letter
+    tuples.  For k letters the pool has 2k + 3k² members, and the memo at
+    most 4·(1 + k + k²) lists, one per side, freedom and last two letters
+    of a component (every state's letters are the pool's), plus two
+    empty ones for Zero."""
+    # enumeration order, as ``core.elements_of_size`` gives it
+    pool = tuple((u, v) for total in (1, 2) for ulen in range(total + 1)
+                 for u in product(letters, repeat=ulen) for v in product(letters, repeat=total - ulen))
+    return pool, {m: i for i, m in enumerate(pool)}, {}
+
+
+State = Tuple[Optional[NormalForm], Optional[NormalForm]]
+Move = Tuple[str, Optional[NormalForm]]  # rule and bare multiplier, None for symmetry
+_ONE: NormalForm = ((), ())
+_TARGET: State = (None, _ONE)
+
+
+def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
+    """Search the congruence generated by identifying a with b for a
+    derivation of (0, 1); None when none exists within max_depth.
+
+    The answer is that of a breadth-first search over ordered pairs with
+    first-discovery parents.  The pool, 0, 1 and then the pool of
+    ``_tables(_letters(a, b))``, is a ball of radius 2 in enumeration
+    order.  Moves from (x, y), in order: left multiplication by each pool
+    element, right multiplication by each, then symmetry.  Queue and pool
+    order are fixed, so the derivation found is the lexicographically
+    first shortest one, and reproducible.
+    Diagonal pairs are pruned: every move sends (x, x) to another
+    diagonal pair, which can never become (0, 1).  A negative max_depth
+    raises ValueError.  Multiplying by 0 or 1 gives (0, 0) or the pair
+    itself, so only the pool members of size 1 and 2 are tried.
+
+    The search generates states only up to depth max_depth - 2 and finds
+    the last two moves by solving.
+
+    The last move.  m·y = 1 forces m = ((), p) and y = (p, ()), and
+    y·m = 1 forces y = ((), q) and m = (q, ()).  So (x, y) reaches (0, 1)
+    in one move only by a left move by ((), p) when y = (p, ()) and
+    ((), p)·x = 0, by a right move by (q, ()) when y = ((), q) and
+    x·(q, ()) = 0, or by symmetry when (x, y) = (1, 0); ``_last_move``
+    finds it.  Call a pair with a last move a hit.  Whether a pair is a
+    hit depends only on the pair.
+
+    The last two moves.  The seed gets the one-move test.  Then, before
+    level d (the depth-d states in queue order) would be expanded, its
+    children are scanned in BFS order, states in queue order and each
+    state's moves in move order, for the first hit c.  The BFS then ends
+    at (0, 1) through c, at depth d + 2, with the parents the scan found:
+    1. No state of depth at most d is a hit.  The seed was tested, and
+       each state of depth k >= 1 is a child of one of depth k - 1,
+       whose scan found no hit; a scan finds one among a state's
+       children whenever there is one (see below).  Hence expanding
+       levels up to d never discovers (0, 1), and level d + 1 is
+       complete.
+    2. c is new and non-diagonal.  A diagonal pair is no hit.  A pair
+       seen before c in the BFS has depth at most d, so it is no hit by
+       1, or it is an earlier child in scan order, which would have been
+       an earlier hit.  So the BFS discovers c first where the scan found
+       it, and records that parent and move.  Every child before c in scan
+       order is no hit, so c is the first hit of level d + 1 in queue
+       order: the BFS discovers (0, 1) from it, by c's last move.
+    The scan tries only the moves that can give a hit.  The child
+    (m·x, m·y) of a left move is a hit only if m·y is (p, ()) or
+    ((), q), or if it is (1, 0).  By the closed form of ``*``, m·y is
+    nonzero only when m's v and y's u are suffix-comparable, and then
+    has an empty component only when m's u or y's v is empty.  And
+    m·x = 1 forces m = ((), xu) with x = (xu, ()).  Right moves mirror
+    this.  The swap never gives the first hit: if (y, x) has a last
+    move, a left or right move by that multiplier takes (x, y) to
+    (1, 0), earlier in move order.  Level d is expanded only when
+    d + 3 <= max_depth.
+
+    The search runs on bare normal forms, (u, v) or None for Zero, and
+    multiplies with ``mul_nf``; only the pairs and multipliers on the
+    returned chain become ``Element``s.  Its pool, index and ``_solved``
+    memo depend only on the letters, and ``_tables`` keeps them across
+    searches.
+    """
+    if max_depth < 0:
+        raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
+    if a == b:
+        raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
+    ab = a.alphabet
+    seed: State = (_bare(a), _bare(b))
+    if seed == _TARGET:
+        return Derivation((DerivationStep(SEED, (a, b)),))
+
+    pool, index, solved = _tables(_letters(a, b))
+    parent: Dict[State, Optional[Tuple[State, Move]]] = {seed: None}
+    last = _last_move(seed, index) if max_depth >= 1 else None
+    if last is not None:
+        return _chain(ab, (a, b), parent, seed, [(last, _TARGET)])
+    level, depth = [seed], 0
+    while level and depth + 2 <= max_depth:
+        hit = _scan(level, pool, index, solved)
+        if hit is not None:
+            state, move, child, last = hit
+            return _chain(ab, (a, b), parent, state, [(move, child), (last, _TARGET)])
+        if depth + 3 > max_depth:
+            break
+        level = _expand(level, pool, parent)
+        depth += 1
+    return None
+
+
+def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
+    """The move taking state to (0, 1), or None; index holds the pool."""
+    x, y = state
+    if y is None:
+        return (SYMMETRY, None) if x == _ONE else None
+    yu, yv = y
+    xu, xv = x or (None, None)
+    if not yv and ((), yu) in index and mul_nf((), yu, xu, xv) is None:
+        return LEFT_MULTIPLY, ((), yu)
+    if not yu and (yv, ()) in index and mul_nf(xu, xv, yv, ()) is None:
+        return RIGHT_MULTIPLY, (yv, ())
+    return None
+
+
+def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
+            word: Optional[Word], free: bool, extra: Optional[NormalForm]) -> List[int]:
+    """Pool indices, ascending, of the members m whose component s =
+    m[side] is suffix-comparable with word, that is ((), s) * (word, ())
+    is nonzero (None: no member), and whose other component is empty
+    unless free; plus extra's.
+
+    Members have size at most 2, so word[-2:] decides which, and the
+    cache is keyed on it.  Every search over the same letters shares the
+    cached lists, so they are only read; adding extra makes a new list.
+    Lists, not tuples: freed tuples of a dozen
+    different lengths would pile up in the interpreter's tuple free lists."""
+    key = None if word is None else word[-2:]
+    got = cache.get((side, key, free))
+    if got is None:
+        got = cache[side, key, free] = [] if key is None else [
+            i for i, m in enumerate(pool) if (free or not m[1 - side]) and mul_nf((), m[side], key, ()) is not None]
+    i = None if extra is None else index.get(extra)
+    if i is not None and i not in got:
+        got = sorted(got + [i])
+    return got
+
+
+def _scan(level: List[State], pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
+    """The first child of a level state that is a hit, in BFS order, as
+    (state, move, child, last move); None when there is none.  Only the
+    moves ``_solved`` finds can give it; the swap never does."""
+    for state in level:
+        x, y = state
+        xu, xv = x or (None, None)
+        yu, yv = y or (None, None)
+        for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
+            p, q = pool[i]
+            child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
+            last = _last_move(child, index)
+            if last is not None:
+                return state, (LEFT_MULTIPLY, pool[i]), child, last
+        for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
+            p, q = pool[i]
+            child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
+            last = _last_move(child, index)
+            if last is not None:
+                return state, (RIGHT_MULTIPLY, pool[i]), child, last
+    return None
+
+
+def _expand(level: List[State], pool: Pool, parent: dict) -> List[State]:
+    """The next level: the new non-diagonal children of level's states in
+    BFS order, each recorded in parent with its first-discovery move."""
+    moves: List[Move] = [(LEFT_MULTIPLY, m) for m in pool] + [(RIGHT_MULTIPLY, m) for m in pool] + [(SYMMETRY, None)]
+    nxt = []
+    for state in level:
+        x, y = state
+        xu, xv = x or (None, None)
+        yu, yv = y or (None, None)
+        children = [(mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv)) for p, q in pool]
+        children += [(mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q)) for p, q in pool]
+        children.append((y, x))
+        for move, child in zip(moves, children):
+            if child[0] != child[1] and child not in parent:
+                parent[child] = (state, move)
+                nxt.append(child)
+    return nxt
+
+
+def _bare(x: Element) -> Optional[NormalForm]:
+    return None if x.u is None or x.v is None else (x.u, x.v)
+
+
+def _element(alphabet: Alphabet, nf: Optional[NormalForm]) -> Element:
+    return Element(alphabet, None, None) if nf is None else Element(alphabet, nf[0], nf[1])
+
+
+def _chain(alphabet: Alphabet, seed: Tuple[Element, Element], parent: dict, state: State,
+           tail: List[Tuple[Move, State]]) -> Derivation:
+    """The derivation from seed through the parent links to state, then
+    the (move, pair) steps of tail."""
+    hops = []
+    while parent[state] is not None:
+        prev, move = parent[state]
+        hops.append((move, state))
+        state = prev
+    steps = [DerivationStep(SEED, seed)]
+    for (rule, m), (x, y) in hops[::-1] + tail:
+        by = None if m is None else _element(alphabet, m)
+        steps.append(DerivationStep(rule, (_element(alphabet, x), _element(alphabet, y)), by=by))
+    return Derivation(tuple(steps))

@@ -57,6 +57,14 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
     return CofiniteNbhd(alphabet, frozenset(excluded))
 
 
+def _trusted(alphabet: Alphabet, excluded: frozenset) -> CofiniteNbhd:
+    """A neighborhood built without the constructor's checks, for members
+    already known to be nonzero and over alphabet."""
+    nbhd = object.__new__(CofiniteNbhd)
+    _Value.__init__(nbhd, alphabet, excluded)
+    return nbhd
+
+
 def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
     """Bare pairs x with a*x or x*a excluded: the left solves a*x = f,
     and the left solves a'*x' = f' read back as x*a = f, for each
@@ -85,11 +93,14 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
 
     For a = Zero both translations are constantly Zero and nothing is
     dropped.  Like the certificate, this needs a over the neighborhood's
-    alphabet.
+    alphabet.  The result skips the constructor's checks: the members it
+    keeps passed them, and the ones it adds are solutions (u, v), so
+    nonzero, over a's alphabet, which ``_preimages`` holds equal to the
+    neighborhood's.
     """
     dropped = set(nbhd.excluded)
     dropped.update(Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd))
-    return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))
+    return _trusted(nbhd.alphabet, frozenset(dropped))
 
 
 def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, radius: int) -> List[tuple]:

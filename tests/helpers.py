@@ -26,7 +26,7 @@ from polymon import (
     zero,
 )
 from polymon.core import elements_of_size
-from polymon.rewriting import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
+from polymon.collapse import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
 
 
 def run_python(code: str) -> str:

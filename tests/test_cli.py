@@ -36,7 +36,15 @@ def test_eval_loads_only_what_it_uses():
     printed, loaded = out.splitlines()
     assert printed == "a"
     assert {"polymon.cli", "polymon.parsing"} <= set(loaded.split())
-    assert {"dataclasses", "json", "polymon.green", "polymon.topology"}.isdisjoint(loaded.split())
+    assert {"dataclasses", "json", "polymon.collapse", "polymon.green", "polymon.topology"}.isdisjoint(loaded.split())
+
+
+def test_collapse_loads_the_search():
+    out = run_python("import sys\n"
+                     "from polymon.cli import main\n"
+                     "main(['collapse', \"a'a\", '1'])\n"
+                     "print('polymon.collapse' in sys.modules)")
+    assert out.splitlines()[-1] == "True"
 
 
 def test_eval_json(capsys):

@@ -30,14 +30,15 @@ from polymon import (
     zero,
 )
 from polymon.core import elements_of_size
-from polymon.rewriting import (
+from polymon.collapse import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
     SEED,
     SYMMETRY,
     Derivation,
     DerivationStep,
-    _multipliers,
+    _letters,
+    _tables,
 )
 
 AB2 = Alphabet(2)
@@ -162,10 +163,13 @@ def test_collapse_is_deterministic():
     assert d1.to_json() == d2.to_json()
 
 
-@pytest.mark.parametrize("lam, pairs, digest", [
+RADIUS_1 = [
     (2, 30, "0632f0fac6b53e905b942452545cfb0c86f80ed059fee318ce434afbcbed5a50"),
     (3, 56, "2251d2314bb21ca93e8531f3c9d09af0d63a174dc289996f652befb2935f2cf7"),
-])
+]
+
+
+@pytest.mark.parametrize("lam, pairs, digest", RADIUS_1)
 def test_collapse_derivations_pinned_on_radius_1(lam, pairs, digest):
     # every ordered pair of distinct radius-1 elements, in ball order, at depth 8
     elems = list(ball(Alphabet(lam), 1))
@@ -249,7 +253,7 @@ def test_multiplier_pool_order_and_size():
     assert pool == [ZERO, ONE, *elements_of_size(AB2, [0, 1], 1), *elements_of_size(AB2, [0, 1], 2)]
     assert len(set(pool)) == len(pool)
     # the library search tries the same multipliers past 0 and 1, as bare pairs
-    assert _multipliers(A.inverse() * A, ONE) == [(m.u, m.v) for m in pool[2:]]
+    assert _tables(_letters(A.inverse() * A, ONE))[0] == tuple((m.u, m.v) for m in pool[2:])
 
 
 def test_multiplier_pool_fresh_letter_only_when_available():
@@ -260,7 +264,46 @@ def test_multiplier_pool_fresh_letter_only_when_available():
     for m in pool:
         letters |= m.letters()
     assert letters == {0, 1}  # the occurring letter plus one fresh letter
-    assert _multipliers(x.inverse() * x, one(ab3)) == [(m.u, m.v) for m in pool[2:]]
+    assert _tables(_letters(x.inverse() * x, one(ab3)))[0] == tuple((m.u, m.v) for m in pool[2:])
+
+
+def test_collapse_tables_cold_and_warm_give_the_pinned_derivations():
+    # one sweep with no tables built, then the same pairs in reverse order
+    # on the tables the first sweep left
+    seeds = {lam: [(x, y) for x in ball(Alphabet(lam), 1) for y in ball(Alphabet(lam), 1) if x != y]
+             for lam, _, _ in RADIUS_1}
+    sweep = [(lam, x, y) for lam, pairs in seeds.items() for x, y in pairs]
+    _tables.cache_clear()
+    cold = {(lam, x, y): collapse_witness(x, y, 8).to_json() for lam, x, y in sweep}
+    built = _tables.cache_info()
+    assert built.hits > 0 and built.currsize == built.misses
+    warm = {(lam, x, y): collapse_witness(x, y, 8).to_json() for lam, x, y in reversed(sweep)}
+    assert _tables.cache_info().misses == built.misses
+    for run in (cold, warm):
+        for lam, _, digest in RADIUS_1:
+            text = json.dumps([run[lam, x, y] for x, y in seeds[lam]], sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the sizes the docstring of ``_tables`` bounds
+    for letters in {_letters(x, y) for _, x, y in sweep}:
+        pool, index, solved = _tables(letters)
+        k = len(letters)
+        assert type(pool) is tuple and len(pool) == len(index) == 2 * k + 3 * k * k
+        assert all(pool[i] == m for m, i in index.items())
+        assert len(solved) <= 4 * (1 + k + k * k) + 2
+    assert _tables.cache_info().misses == built.misses
+
+
+def test_collapse_tables_stay_within_their_bound():
+    # over lambda = inf the seed (g_i, 1) has the letters (0, i): a new
+    # letter tuple for each i, more of them than the cache holds
+    ab = Alphabet(None)
+    maxsize = _tables.cache_info().maxsize
+    assert maxsize == 32  # the bound the docstring of ``_tables`` states
+    for i in range(1, maxsize + 9):
+        g = generator(ab, i)
+        d = collapse_witness(g, one(ab), 3)
+        assert d is not None and d == collapse_witness_elements(g, one(ab), 3)
+    assert _tables.cache_info().currsize <= maxsize
 
 
 def test_derivation_json_shape():

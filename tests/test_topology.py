@@ -31,10 +31,12 @@ def test_membership_and_guards():
     U = cofinite(AB2, [ONE])
     assert ZERO in U and A in U
     assert ONE not in U
-    with pytest.raises(ZeroArgument):
-        cofinite(AB2, [ZERO])  # Zero is in every neighborhood of Zero
-    with pytest.raises(AlphabetMismatch):
-        cofinite(AB2, [one(Alphabet(3))])
+    # both ways in check every member; only shrink_neighborhood skips that
+    for make in (cofinite, CofiniteNbhd):
+        with pytest.raises(ZeroArgument):
+            make(AB2, [ONE, ZERO])  # Zero is in every neighborhood of Zero
+        with pytest.raises(AlphabetMismatch):
+            make(AB2, [ONE, one(Alphabet(3))])
 
 
 def test_excluded_sorted_uses_enumeration_order():
