@@ -4,6 +4,11 @@ Exit status: 0 success (including a collapse search that finds nothing),
 1 domain error, unwritable output file or an input over a size cap,
 2 syntax/usage error.  Every call is a fresh process, so each subcommand
 imports only the modules it uses.
+
+Argparse does the dispatch: each subcommand's parser carries its handler
+as ``run``, the handler returns its answer as text and as a JSON object,
+and ``main`` prints the one ``--format`` names; only ``repl`` prints as
+it reads.
 """
 
 from __future__ import annotations
@@ -40,59 +45,60 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Exact computation in polycyclic inverse monoids.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate an expression to its normal form")
+    def add(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = add("eval", _eval, "evaluate an expression to its normal form")
     p.add_argument("expr")
 
-    p = sub.add_parser("solve", parents=[common], help="all x with A*x*B = C")
+    p = add("solve", _solve, "all x with A*x*B = C")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
 
-    p = sub.add_parser("downset", parents=[common], help="prefixes of a nonzero element")
+    p = add("downset", _downset, "prefixes of a nonzero element")
     p.add_argument("expr")
 
-    p = sub.add_parser("rclass", parents=[common], help="canonical representative of the R-class")
+    p = add("rclass", _rclass, "canonical representative of the R-class")
     p.add_argument("expr")
 
-    p = sub.add_parser("ball", parents=[common],
-                       help=f"enumerate the radius-N ball, at most {MAX_BALL_ELEMENTS} elements")
+    p = add("ball", _ball, f"enumerate the radius-N ball, at most {MAX_BALL_ELEMENTS} elements")
     p.add_argument("radius", type=int)
 
-    p = sub.add_parser("act", parents=[common], help="apply an element to a stack word")
+    p = add("act", _act, "apply an element to a stack word")
     p.add_argument("expr")
     p.add_argument("word")
 
-    p = sub.add_parser("continuity", parents=[common],
-                       help="shrink a neighborhood of Zero through both translations by A")
+    p = add("continuity", _continuity, "shrink a neighborhood of Zero through both translations by A")
     p.add_argument("a")
     p.add_argument("--exclude", default="",
                    help="comma-separated expressions excluded by the target neighborhood")
     p.add_argument("--radius", type=int, default=6,
                    help="largest size |x| the certificate checks (default 6)")
 
-    p = sub.add_parser("witness", parents=[common],
-                       help=f"joint-discontinuity pairs for a target: witness [C] K, K at most {MAX_WITNESS_PAIRS}")
+    p = add("witness", _witness,
+            f"joint-discontinuity pairs for a target: witness [C] K, K at most {MAX_WITNESS_PAIRS}")
     p.add_argument("c", nargs="?", metavar="C")
     p.add_argument("k", type=int, metavar="K")
 
-    p = sub.add_parser("collapse", parents=[common],
-                       help="derive (0, 1) from identifying A with B")
+    p = add("collapse", _collapse, "derive (0, 1) from identifying A with B")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--depth", type=int, default=8,
                    help=f"search depth budget, at most {MAX_COLLAPSE_DEPTH} (default 8); it bounds the "
                         "derivation length, not the number of states searched")
 
-    p = sub.add_parser("export-dot", parents=[common],
-                       help=f"right-Cayley ball as DOT, at most {MAX_BALL_ELEMENTS} edges")
+    p = add("export-dot", _export_dot, f"right-Cayley ball as DOT, at most {MAX_BALL_ELEMENTS} edges")
     p.add_argument("radius", type=int)
     p.add_argument("file")
 
-    sub.add_parser("repl", parents=[common], help="read-evaluate-print loop on stdin")
+    add("repl", _repl, "read-evaluate-print loop on stdin")
     return parser
 
 
-def _eval(text: str, alphabet: Alphabet):
+def _element(text: str, alphabet: Alphabet):
     from .parsing import evaluate, parse
     return evaluate(parse(text, alphabet), alphabet)
 
@@ -105,49 +111,44 @@ def _emit(args, text: str, obj) -> None:
         print(text)
 
 
-def _element_list(args, elems) -> None:
-    _emit(args, ", ".join(str(e) for e in elems), [e.to_json() for e in elems])
+def _element_list(elems, sep: str = ", ") -> tuple:
+    return sep.join(str(e) for e in elems), [e.to_json() for e in elems]
 
 
-def _run(args, alphabet: Alphabet) -> int:
-    cmd = args.command
-    if cmd == "eval":
-        x = _eval(args.expr, alphabet)
-        _emit(args, str(x), x.to_json())
-    elif cmd == "solve":
-        from .green import solve_axb
-        sols = solve_axb(_eval(args.a, alphabet), _eval(args.b, alphabet), _eval(args.c, alphabet))
-        _element_list(args, sols)
-    elif cmd == "downset":
-        _element_list(args, _eval(args.expr, alphabet).downset())
-    elif cmd == "rclass":
-        from .green import rclass_key
-        rep = rclass_key(_eval(args.expr, alphabet)).representative(alphabet)
-        _emit(args, str(rep), rep.to_json())
-    elif cmd == "ball":
-        from .green import ball
-        _check_ball(alphabet, args.radius, "elements", 1)
-        b = ball(alphabet, args.radius)
-        _emit(args, "\n".join(str(e) for e in b), [e.to_json() for e in b])
-    elif cmd == "act":
-        from .green import act
-        from .parsing import parse_positive_word
-        result = act(_eval(args.expr, alphabet), parse_positive_word(args.word, alphabet))
-        if result is None:
-            _emit(args, "undefined", {"undefined": True})
-        else:
-            _emit(args, render_word(result), {"word": list(result)})
-    elif cmd == "continuity":
-        return _continuity(args, alphabet)
-    elif cmd == "witness":
-        return _witness(args, alphabet)
-    elif cmd == "collapse":
-        return _collapse(args, alphabet)
-    elif cmd == "export-dot":
-        return _export_dot(args, alphabet)
-    elif cmd == "repl":
-        return _repl(args, alphabet)
-    return 0
+def _eval(args, alphabet: Alphabet) -> tuple:
+    x = _element(args.expr, alphabet)
+    return str(x), x.to_json()
+
+
+def _solve(args, alphabet: Alphabet) -> tuple:
+    from .green import solve_axb
+    return _element_list(solve_axb(_element(args.a, alphabet), _element(args.b, alphabet),
+                                   _element(args.c, alphabet)))
+
+
+def _downset(args, alphabet: Alphabet) -> tuple:
+    return _element_list(_element(args.expr, alphabet).downset())
+
+
+def _rclass(args, alphabet: Alphabet) -> tuple:
+    from .green import rclass_key
+    rep = rclass_key(_element(args.expr, alphabet)).representative(alphabet)
+    return str(rep), rep.to_json()
+
+
+def _ball(args, alphabet: Alphabet) -> tuple:
+    from .green import ball
+    _check_ball(alphabet, args.radius, "elements", 1)
+    return _element_list(ball(alphabet, args.radius), "\n")
+
+
+def _act(args, alphabet: Alphabet) -> tuple:
+    from .green import act
+    from .parsing import parse_positive_word
+    result = act(_element(args.expr, alphabet), parse_positive_word(args.word, alphabet))
+    if result is None:
+        return "undefined", {"undefined": True}
+    return render_word(result), {"word": list(result)}
 
 
 def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) -> None:
@@ -164,11 +165,11 @@ def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) ->
         raise ValueError(f"radius {radius} over {lam} letters is above the cap of {MAX_BALL_ELEMENTS} {what}")
 
 
-def _continuity(args, alphabet: Alphabet) -> int:
+def _continuity(args, alphabet: Alphabet) -> tuple:
     from .topology import CofiniteNbhd, certify_translations, cofinite, shrink_neighborhood
-    a = _eval(args.a, alphabet)
+    a = _element(args.a, alphabet)
     items = [s for s in (piece.strip() for piece in args.exclude.split(",")) if s]
-    target = cofinite(alphabet, [_eval(s, alphabet) for s in items])
+    target = cofinite(alphabet, [_element(s, alphabet) for s in items])
     shrunk = shrink_neighborhood(a, target)
     bad = certify_translations(a, target, shrunk, args.radius)
     trivial = a.is_zero
@@ -185,7 +186,7 @@ def _continuity(args, alphabet: Alphabet) -> int:
         "counterexamples: " + (", ".join(f"{x} ({side}: {prod})" for x, side, prod in bad) if bad else "none"),
         f"trivial: {'yes' if trivial else 'no'}",
     ])
-    obj = {
+    return text, {
         "translation": a.to_json(),
         "excluded_input": target.to_json()["excluded"],
         "excluded_output": shrunk.to_json()["excluded"],
@@ -195,43 +196,37 @@ def _continuity(args, alphabet: Alphabet) -> int:
         ],
         "trivial": trivial,
     }
-    _emit(args, text, obj)
-    return 0
 
 
-def _witness(args, alphabet: Alphabet) -> int:
+def _witness(args, alphabet: Alphabet) -> tuple:
     from .topology import joint_discontinuity_family
     if args.k > MAX_WITNESS_PAIRS:
         raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
-    c = one(alphabet) if args.c is None else _eval(args.c, alphabet)
+    c = one(alphabet) if args.c is None else _element(args.c, alphabet)
     pairs = joint_discontinuity_family(c, args.k)
-    _emit(args, "\n".join(f"{a} {b}" for a, b in pairs),
-          {"target": c.to_json(), "pairs": [[a.to_json(), b.to_json()] for a, b in pairs]})
-    return 0
+    return ("\n".join(f"{a} {b}" for a, b in pairs),
+            {"target": c.to_json(), "pairs": [[a.to_json(), b.to_json()] for a, b in pairs]})
 
 
-def _collapse(args, alphabet: Alphabet) -> int:
+def _collapse(args, alphabet: Alphabet) -> tuple:
     from .collapse import collapse_witness
     if args.depth > MAX_COLLAPSE_DEPTH:
         raise ValueError(f"depth {args.depth} is above the cap of {MAX_COLLAPSE_DEPTH}")
-    derivation = collapse_witness(_eval(args.a, alphabet), _eval(args.b, alphabet), args.depth)
+    derivation = collapse_witness(_element(args.a, alphabet), _element(args.b, alphabet), args.depth)
     if derivation is None:
-        _emit(args, f"not found within depth {args.depth}", {"found": False, "max_depth": args.depth})
-        return 0
+        return f"not found within depth {args.depth}", {"found": False, "max_depth": args.depth}
     lines = []
     for step in derivation.steps:
         head = step.rule
         if step.by is not None:
             head += f" {step.by}"
         lines.append(f"{head}: {step.pair[0]} ~ {step.pair[1]}")
-    _emit(args, "\n".join(lines),
-          {"found": True, "depth": derivation.depth, "steps": derivation.to_json()["steps"]})
-    return 0
+    return "\n".join(lines), {"found": True, "depth": derivation.depth, "steps": derivation.to_json()["steps"]}
 
 
-def _export_dot(args, alphabet: Alphabet) -> int:
+def _export_dot(args, alphabet: Alphabet) -> tuple:
     from .green import ball, cayley_dot
-    _check_ball(alphabet, args.radius, "edges", alphabet.size or 1)
+    _check_ball(alphabet, args.radius, "edges", alphabet.size)
     b = ball(alphabet, args.radius)
     dot = cayley_dot(b)
     with open(args.file, "w") as fh:
@@ -241,25 +236,24 @@ def _export_dot(args, alphabet: Alphabet) -> int:
     lam, r = alphabet.size, args.radius
     n_edges = len(b) * lam
     n_nodes = len(b) + (r + 1) * lam ** (r + 1)
-    _emit(args, f"wrote {args.file}: {n_nodes} nodes, {n_edges} edges",
-          {"file": args.file, "nodes": n_nodes, "edges": n_edges})
-    return 0
+    return (f"wrote {args.file}: {n_nodes} nodes, {n_edges} edges",
+            {"file": args.file, "nodes": n_nodes, "edges": n_edges})
 
 
-def _repl(args, alphabet: Alphabet) -> int:
+def _repl(args, alphabet: Alphabet) -> None:
+    """Prints each answer as its line is read, so it returns nothing."""
     prompt = "> " if sys.stdin.isatty() else ""
     while True:
         try:
-            line = input(prompt)
+            line = input(prompt).strip()
         except EOFError:
-            return 0
-        line = line.strip()
+            return
         if line in ("quit", "exit"):
-            return 0
+            return
         if not line:
             continue
         try:
-            x = _eval(line, alphabet)
+            x = _element(line, alphabet)
             _emit(args, str(x), x.to_json())
         except PolymonError as err:
             print(f"error: {err}", file=sys.stderr)
@@ -268,7 +262,10 @@ def _repl(args, alphabet: Alphabet) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _run(args, args.alphabet)
+        answer = args.run(args, args.alphabet)
+        if answer is not None:
+            _emit(args, *answer)
+        return 0
     except ExpressionSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2

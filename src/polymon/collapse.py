@@ -306,7 +306,7 @@ def _expand(level: List[State], pool: Pool, parent: dict) -> List[State]:
 
 
 def _bare(x: Element) -> Optional[NormalForm]:
-    return None if x.u is None or x.v is None else (x.u, x.v)
+    return None if x.u is None else (x.u, x.v)
 
 
 def _element(alphabet: Alphabet, nf: Optional[NormalForm]) -> Element:

@@ -59,7 +59,7 @@ def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[
     (u, v), or None for Zero.  ``Element.__mul__`` and the collapse
     search both multiply through this function.
     """
-    if u is None or v is None or p is None or q is None:
+    if u is None or p is None:
         return None
     if len(v) >= len(p):
         cut = len(v) - len(p)
@@ -202,13 +202,13 @@ class Element(_Value):
     @property
     def size(self) -> int:
         """|u| + |v|; Zero counts as 0."""
-        if self.u is None or self.v is None:
+        if self.u is None:
             return 0
         return len(self.u) + len(self.v)
 
     def letters(self) -> frozenset:
         """Set of letter indices occurring in the normal form."""
-        if self.u is None or self.v is None:
+        if self.u is None:
             return frozenset()
         return frozenset(self.u) | frozenset(self.v)
 
@@ -238,7 +238,7 @@ class Element(_Value):
         then v extended a letter at a time.  Zero is not a normal form
         and has no downset.
         """
-        if self.u is None or self.v is None:
+        if self.u is None:
             raise ZeroArgument("zero has no prefix set")
         out = [Element(self.alphabet, (), ())]
         m = len(self.u)
@@ -251,7 +251,7 @@ class Element(_Value):
     # -- presentation --------------------------------------------------
 
     def __str__(self) -> str:
-        if self.u is None or self.v is None:
+        if self.u is None:
             return "0"
         if not self.u and not self.v:
             return "1"
@@ -264,7 +264,7 @@ class Element(_Value):
 
     def to_json(self) -> dict:
         """Canonical JSON form: {"zero": true} or {"u": [...], "v": [...]}."""
-        if self.u is None or self.v is None:
+        if self.u is None:
             return {"zero": True}
         return {"u": list(self.u), "v": list(self.v)}
 
@@ -298,7 +298,7 @@ def element(alphabet: Alphabet, u: Sequence[int], v: Sequence[int]) -> Element:
 
 def enumeration_key(x: Element) -> tuple:
     """Sort key for the canonical enumeration order (Zero first)."""
-    if x.u is None or x.v is None:
+    if x.u is None:
         return (0,)
     return (1, x.size, len(x.u), x.u, x.v)
 

@@ -91,7 +91,7 @@ def ball(alphabet: Alphabet, n: int) -> Ball:
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
     # radius 0 needs no letters, so a huge alphabet costs nothing there
-    letters = list(range(alphabet.size or 0)) if n >= 1 else []
+    letters = list(range(alphabet.size)) if n >= 1 else []
     members: List[Element] = [zero(alphabet)]
     for total in range(n + 1):
         members.extend(elements_of_size(alphabet, letters, total))
@@ -146,7 +146,7 @@ def act(x: Element, word: Sequence[int]) -> Optional[Word]:
     suffix for v.  None encodes Undefined; Zero acts as the empty map.
     """
     w = x.alphabet.check_word(word)
-    if x.u is None or x.v is None:
+    if x.u is None:
         return None
     cut = len(w) - len(x.u)
     if cut >= 0 and w[cut:] == x.u:
@@ -159,7 +159,7 @@ def cayley_dot(b: Ball) -> str:
     letter g.  Products outside the ball still appear as nodes."""
     if not b.alphabet.is_finite:
         raise InfiniteAlphabet("DOT export needs a finite alphabet")
-    gens = [(i, Element(b.alphabet, (), (i,))) for i in range(b.alphabet.size or 0)]
+    gens = [(i, Element(b.alphabet, (), (i,))) for i in range(b.alphabet.size)]
     ids = {x: f"n{k}" for k, x in enumerate(b.elements)}
     edges = []
     for x in b.elements:

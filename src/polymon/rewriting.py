@@ -27,7 +27,7 @@ FreeWord = Tuple[int, ...]
 
 def free_word(x: Element) -> FreeWord:
     """Signed-letter string of a nonzero element: u reversed-inverted, then v."""
-    if x.u is None or x.v is None:
+    if x.u is None:
         raise ZeroArgument("zero has no free-word form")
     return tuple(-(i + 1) for i in reversed(x.u)) + tuple(i + 1 for i in x.v)
 

@@ -38,9 +38,9 @@ class CofiniteNbhd(_Value):
     def __init__(self, alphabet: Alphabet, excluded: Iterable[Element]) -> None:
         super().__init__(alphabet, frozenset(excluded))
         for f in self.excluded:
-            if f.is_zero:
+            if f.u is None:
                 raise ZeroArgument("Zero belongs to every neighborhood of Zero; it cannot be excluded")
-            if f.alphabet != alphabet:
+            if f.alphabet is not alphabet and f.alphabet != alphabet:
                 raise AlphabetMismatch(f"excluded element {f} over a different alphabet")
 
     def __contains__(self, x: Element) -> bool:
@@ -55,14 +55,6 @@ class CofiniteNbhd(_Value):
 
 def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNbhd:
     return CofiniteNbhd(alphabet, frozenset(excluded))
-
-
-def _trusted(alphabet: Alphabet, excluded: frozenset) -> CofiniteNbhd:
-    """A neighborhood built without the constructor's checks, for members
-    already known to be nonzero and over alphabet."""
-    nbhd = object.__new__(CofiniteNbhd)
-    _Value.__init__(nbhd, alphabet, excluded)
-    return nbhd
 
 
 def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
@@ -93,14 +85,11 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
 
     For a = Zero both translations are constantly Zero and nothing is
     dropped.  Like the certificate, this needs a over the neighborhood's
-    alphabet.  The result skips the constructor's checks: the members it
-    keeps passed them, and the ones it adds are solutions (u, v), so
-    nonzero, over a's alphabet, which ``_preimages`` holds equal to the
-    neighborhood's.
+    alphabet.
     """
     dropped = set(nbhd.excluded)
     dropped.update(Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd))
-    return _trusted(nbhd.alphabet, frozenset(dropped))
+    return CofiniteNbhd(nbhd.alphabet, dropped)
 
 
 def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, radius: int) -> List[tuple]:

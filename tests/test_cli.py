@@ -337,6 +337,47 @@ def test_witness_output_is_pinned(capsys):
     assert digest.hexdigest() == WITNESS_SHA256
 
 
+# (exit code, argv) of every run in test_every_subcommand_is_pinned: each
+# subcommand in both formats, then one domain error and one usage error
+# each; stdin, which only repl reads, is REPL_INPUT every time
+PINNED_OK = [
+    ["eval", "(ab)'"], ["solve", "a", "a'", "1"], ["downset", "a'b"], ["rclass", "a'b"], ["ball", "1"],
+    ["act", "a'b", "ca", "--lambda", "3"], ["continuity", "a", "--exclude", "1,b", "--radius", "4"],
+    ["witness", "a'b", "3"], ["collapse", "a'a", "1"], ["export-dot", "1", "ball.dot"], ["repl"],
+]
+PINNED_RUNS = [(0, argv + ["--format", fmt]) for argv in PINNED_OK for fmt in ("text", "json")] + [
+    (1, ["eval", "c"]), (1, ["solve", "a", "b", "0"]), (1, ["downset", "0"]), (1, ["rclass", "c"]),
+    (1, ["ball", "-1"]), (1, ["act", "a", "c"]), (1, ["continuity", "a", "--radius", "-1"]),
+    (1, ["witness", "0", "1"]), (1, ["collapse", "a", "a"]), (1, ["export-dot", "1", "missing/x.dot"]),
+    (1, ["repl", "--lambda", "1"]),
+    (2, ["eval"]), (2, ["solve", "a", "b"]), (2, ["downset", "a", "b"]), (2, ["rclass", "a", "--lambda"]),
+    (2, ["ball", "x"]), (2, ["act", "a"]), (2, ["continuity", "a", "--radius", "x"]), (2, ["witness", "a"]),
+    (2, ["collapse", "a", "b", "--depth", "x"]), (2, ["export-dot", "1"]), (2, ["repl", "x"]),
+    (2, []), (2, ["eval", "(a"]),
+]
+REPL_INPUT = "a a'\n(ab)'\nc\n\nquit\n"
+# sha256 of repr((argv, exit code, stdout, stderr)) for each of PINNED_RUNS
+# in order; computed while an if/elif chain on the subcommand's name still
+# dispatched, so the digest holds that dispatch's output
+CLI_SHA256 = "687249ebe0d08ef1061cb2cc75b8fb52579be04268fe7920cb5decc1828de0f5"
+
+
+def test_every_subcommand_is_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # export-dot writes and reports a relative path
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    digest = hashlib.sha256()
+    for expected, argv in PINNED_RUNS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(REPL_INPUT))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == expected, (argv, code, err)
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == CLI_SHA256
+
+
 def test_collapse_fixture(capsys):
     code, out, _ = run(capsys, "collapse", "a'a", "1")
     assert code == 0
