@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, one, zero
 from .errors import AlphabetMismatch, EqualPair
@@ -162,11 +162,11 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     finds it.  Call a pair with a last move a hit.  Whether a pair is a
     hit depends only on the pair.
 
-    The last two moves.  The seed gets the one-move test.  Then, before
-    level d (the depth-d states in queue order) would be expanded, its
-    children are scanned in BFS order, states in queue order and each
-    state's moves in move order, for the first hit c.  The BFS then ends
-    at (0, 1) through c, at depth d + 2, with the parents the scan found:
+    The last two moves.  The seed gets the one-move test.  Then, level by
+    level, the children of level d (the depth-d states in queue order)
+    are scanned in BFS order, states in queue order and each state's
+    moves in move order, for the first hit c.  The BFS then ends at
+    (0, 1) through c, at depth d + 2, with the parents the scan found:
     1. No state of depth at most d is a hit.  The seed was tested, and
        each state of depth k >= 1 is a child of one of depth k - 1,
        whose scan found no hit; a scan finds one among a state's
@@ -180,6 +180,14 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
        it, and records that parent and move.  Every child before c in scan
        order is no hit, so c is the first hit of level d + 1 in queue
        order: the BFS discovers (0, 1) from it, by c's last move.
+    3. Scanning each state when it is discovered finds the same c.
+       The search scans the seed, then each state the moment
+       ``_children`` yields it.  Queue order is discovery order, so it
+       scans level d's states in the level scan's order and stops at the
+       same first state with a hit child, with the same (state, move, c,
+       last move).  The parent links on that state's chain were recorded
+       when it and its ancestors were discovered.  The states after it
+       were never used, so they are never generated.
     The scan tries only the moves that can give a hit.  The child
     (m·x, m·y) of a left move is a hit only if m·y is (p, ()) or
     ((), q), or if it is (1, 0).  By the closed form of ``*``, m·y is
@@ -188,7 +196,8 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     m·x = 1 forces m = ((), xu) with x = (xu, ()).  Right moves mirror
     this.  The swap never gives the first hit: if (y, x) has a last
     move, a left or right move by that multiplier takes (x, y) to
-    (1, 0), earlier in move order.  Level d is expanded only when
+    (1, 0), earlier in move order.  A state of depth d is scanned only
+    when d + 2 <= max_depth, so level d + 1 is generated only while
     d + 3 <= max_depth.
 
     The search runs on bare normal forms, (u, v) or None for Zero, and
@@ -213,17 +222,20 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     last = _last_move(seed, index) if max_depth >= 1 else None
     if last is not None:
         return _chain(ab, (a, b), parent, seed, [(last, _TARGET)])
+    hit = _scan(seed, pool, index, solved) if max_depth >= 2 else None
     level, depth = [seed], 0
-    while level and depth + 2 <= max_depth:
-        hit = _scan(level, pool, index, solved)
-        if hit is not None:
-            state, move, child, last = hit
-            return _chain(ab, (a, b), parent, state, [(move, child), (last, _TARGET)])
-        if depth + 3 > max_depth:
-            break
-        level = _expand(level, pool, parent)
-        depth += 1
-    return None
+    while hit is None and level and depth + 3 <= max_depth:
+        nxt = []
+        for state in _children(level, pool, parent):
+            nxt.append(state)
+            hit = _scan(state, pool, index, solved)
+            if hit is not None:
+                break
+        level, depth = nxt, depth + 1
+    if hit is None:
+        return None
+    state, move, child, last = hit
+    return _chain(ab, (a, b), parent, state, [(move, child), (last, _TARGET)])
 
 
 def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
@@ -263,46 +275,53 @@ def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
     return got
 
 
-def _scan(level: List[State], pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
-    """The first child of a level state that is a hit, in BFS order, as
-    (state, move, child, last move); None when there is none.  Only the
-    moves ``_solved`` finds can give it; the swap never does."""
-    for state in level:
-        x, y = state
-        xu, xv = x or (None, None)
-        yu, yv = y or (None, None)
-        for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
-            p, q = pool[i]
-            child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
-            last = _last_move(child, index)
-            if last is not None:
-                return state, (LEFT_MULTIPLY, pool[i]), child, last
-        for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
-            p, q = pool[i]
-            child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
-            last = _last_move(child, index)
-            if last is not None:
-                return state, (RIGHT_MULTIPLY, pool[i]), child, last
+def _scan(state: State, pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
+    """The first child of state that is a hit, in move order, as (state,
+    move, child, last move); None when there is none.  Only the moves
+    ``_solved`` finds can give it; the swap never does."""
+    x, y = state
+    xu, xv = x or (None, None)
+    yu, yv = y or (None, None)
+    for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
+        p, q = pool[i]
+        child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
+        last = _last_move(child, index)
+        if last is not None:
+            return state, (LEFT_MULTIPLY, pool[i]), child, last
+    for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
+        p, q = pool[i]
+        child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
+        last = _last_move(child, index)
+        if last is not None:
+            return state, (RIGHT_MULTIPLY, pool[i]), child, last
     return None
 
 
-def _expand(level: List[State], pool: Pool, parent: dict) -> List[State]:
-    """The next level: the new non-diagonal children of level's states in
-    BFS order, each recorded in parent with its first-discovery move."""
-    moves: List[Move] = [(LEFT_MULTIPLY, m) for m in pool] + [(RIGHT_MULTIPLY, m) for m in pool] + [(SYMMETRY, None)]
-    nxt = []
+def _children(level: List[State], pool: Pool, parent: dict) -> Iterator[State]:
+    """The next level, lazily: the new non-diagonal children of level's
+    states in BFS order, each recorded in parent with its first-discovery
+    move as it is yielded.  A child's products are computed only when the
+    caller asks for the next state."""
     for state in level:
         x, y = state
         xu, xv = x or (None, None)
         yu, yv = y or (None, None)
-        children = [(mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv)) for p, q in pool]
-        children += [(mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q)) for p, q in pool]
-        children.append((y, x))
-        for move, child in zip(moves, children):
+        for m in pool:
+            p, q = m
+            child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
             if child[0] != child[1] and child not in parent:
-                parent[child] = (state, move)
-                nxt.append(child)
-    return nxt
+                parent[child] = (state, (LEFT_MULTIPLY, m))
+                yield child
+        for m in pool:
+            p, q = m
+            child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
+            if child[0] != child[1] and child not in parent:
+                parent[child] = (state, (RIGHT_MULTIPLY, m))
+                yield child
+        child = (y, x)  # never diagonal: level's states are not
+        if child not in parent:
+            parent[child] = (state, (SYMMETRY, None))
+            yield child
 
 
 def _bare(x: Element) -> Optional[NormalForm]:

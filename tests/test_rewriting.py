@@ -29,7 +29,7 @@ from polymon import (
     verify_derivation,
     zero,
 )
-from polymon.core import elements_of_size
+from polymon.core import elements_of_size, mul_nf
 from polymon.collapse import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
@@ -243,6 +243,40 @@ def test_collapse_matches_element_search(lam, radius, pairs):
             want = collapse_witness_elements(x, y, depth)
             assert (got is None) == (want is None), (x, y, depth)
             assert got is None or got.to_json() == want.to_json(), (x, y, depth)
+
+
+def test_collapse_matches_element_search_on_radius_2_sample():
+    # a depth-3 answer comes from a hit among the children of a level-1
+    # state, found while level 1 is still being generated
+    elems = list(ball(Alphabet(3), 2))
+    seeds = random.Random(3).sample([(x, y) for x in elems for y in elems if x != y], 60)
+    found_at_3 = 0
+    for depth in (3, 4):
+        for x, y in seeds:
+            got = collapse_witness(x, y, depth)
+            want = collapse_witness_elements(x, y, depth)
+            assert (got is None) == (want is None), (x, y, depth)
+            assert got is None or got.to_json() == want.to_json(), (x, y, depth)
+            found_at_3 += got is not None and got.depth == 3
+    assert found_at_3 == 32
+
+
+def test_collapse_stops_inside_the_level(monkeypatch):
+    # (1, ab) over lambda = 3 has a depth-3 derivation through the first
+    # level-1 state; with cold tables, generating all of level 1 before
+    # scanning it takes 272 products, stopping at that state's hit 142
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mul_nf(*args)
+
+    ab3 = Alphabet(3)
+    _tables.cache_clear()
+    monkeypatch.setattr("polymon.collapse.mul_nf", counting)
+    d = collapse_witness(one(ab3), evaluate(parse("ab", ab3), ab3), 8)
+    assert d.depth == 3
+    assert len(calls) < 200
 
 
 def test_multiplier_pool_order_and_size():
