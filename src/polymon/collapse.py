@@ -14,10 +14,9 @@ generates every level, over ``Element`` pairs, as its oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, one, zero
+from .core import Alphabet, Element, NormalForm, Word, _set, _Value, elements_of_size, mul_nf, one, zero
 from .errors import AlphabetMismatch, EqualPair
 
 SEED = "seed"
@@ -123,16 +122,14 @@ def _tables(letters: Tuple[int, ...]) -> Tuple[Pool, Dict[NormalForm, int], dict
     most 4·(1 + k + k²) lists, one per side, freedom and last two letters
     of a component (every state's letters are the pool's), plus two
     empty ones for Zero."""
-    # enumeration order, as ``core.elements_of_size`` gives it
-    pool = tuple((u, v) for total in (1, 2) for ulen in range(total + 1)
-                 for u in product(letters, repeat=ulen) for v in product(letters, repeat=total - ulen))
+    pool = tuple((m.u, m.v) for total in (1, 2) for m in elements_of_size(Alphabet(None), letters, total))
     return pool, {m: i for i, m in enumerate(pool)}, {}
 
 
-State = Tuple[Optional[NormalForm], Optional[NormalForm]]
+State = Tuple[NormalForm, NormalForm]
 Move = Tuple[str, Optional[NormalForm]]  # rule and bare multiplier, None for symmetry
 _ONE: NormalForm = ((), ())
-_TARGET: State = (None, _ONE)
+_TARGET: State = ((None, None), _ONE)
 
 
 def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
@@ -200,11 +197,11 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     when d + 2 <= max_depth, so level d + 1 is generated only while
     d + 3 <= max_depth.
 
-    The search runs on bare normal forms, (u, v) or None for Zero, and
-    multiplies with ``mul_nf``; only the pairs and multipliers on the
-    returned chain become ``Element``s.  Its pool, index and ``_solved``
-    memo depend only on the letters, and ``_tables`` keeps them across
-    searches.
+    The search runs on bare normal forms, the (u, v) of ``Element``'s
+    fields with (None, None) for Zero, and multiplies with ``mul_nf``;
+    only the pairs and multipliers on the returned chain become
+    ``Element``s.  Its pool, index and ``_solved`` memo depend only on
+    the letters, and ``_tables`` keeps them across searches.
     """
     if max_depth < 0:
         raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
@@ -213,7 +210,7 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     if a == b:
         raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
     ab = a.alphabet
-    seed: State = (_bare(a), _bare(b))
+    seed: State = ((a.u, a.v), (b.u, b.v))
     if seed == _TARGET:
         return Derivation((DerivationStep(SEED, (a, b)),))
 
@@ -240,14 +237,12 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
 
 def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
     """The move taking state to (0, 1), or None; index holds the pool."""
-    x, y = state
-    if y is None:
-        return (SYMMETRY, None) if x == _ONE else None
-    yu, yv = y
-    xu, xv = x or (None, None)
-    if not yv and ((), yu) in index and mul_nf((), yu, xu, xv) is None:
+    (xu, xv), (yu, yv) = state
+    if yu is None:
+        return (SYMMETRY, None) if state[0] == _ONE else None
+    if not yv and ((), yu) in index and mul_nf((), yu, xu, xv)[0] is None:
         return LEFT_MULTIPLY, ((), yu)
-    if not yu and (yv, ()) in index and mul_nf(xu, xv, yv, ()) is None:
+    if not yu and (yv, ()) in index and mul_nf(xu, xv, yv, ())[0] is None:
         return RIGHT_MULTIPLY, (yv, ())
     return None
 
@@ -256,8 +251,8 @@ def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
             word: Optional[Word], free: bool, extra: Optional[NormalForm]) -> List[int]:
     """Pool indices, ascending, of the members m whose component s =
     m[side] is suffix-comparable with word, that is ((), s) * (word, ())
-    is nonzero (None: no member), and whose other component is empty
-    unless free; plus extra's.
+    is not Zero, (None, None), and whose other component is empty unless
+    free; plus extra's.  Zero's component None has no such member.
 
     Members have size at most 2, so word[-2:] decides which, and the
     cache is keyed on it.  Every search over the same letters shares the
@@ -268,7 +263,7 @@ def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
     got = cache.get((side, key, free))
     if got is None:
         got = cache[side, key, free] = [] if key is None else [
-            i for i, m in enumerate(pool) if (free or not m[1 - side]) and mul_nf((), m[side], key, ()) is not None]
+            i for i, m in enumerate(pool) if (free or not m[1 - side]) and mul_nf((), m[side], key, ())[0] is not None]
     i = None if extra is None else index.get(extra)
     if i is not None and i not in got:
         got = sorted(got + [i])
@@ -279,9 +274,7 @@ def _scan(state: State, pool: Pool, index: Dict[NormalForm, int], cache: dict) -
     """The first child of state that is a hit, in move order, as (state,
     move, child, last move); None when there is none.  Only the moves
     ``_solved`` finds can give it; the swap never does."""
-    x, y = state
-    xu, xv = x or (None, None)
-    yu, yv = y or (None, None)
+    (xu, xv), (yu, yv) = state
     for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
         p, q = pool[i]
         child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
@@ -303,9 +296,7 @@ def _children(level: List[State], pool: Pool, parent: dict) -> Iterator[State]:
     move as it is yielded.  A child's products are computed only when the
     caller asks for the next state."""
     for state in level:
-        x, y = state
-        xu, xv = x or (None, None)
-        yu, yv = y or (None, None)
+        (xu, xv), (yu, yv) = state
         for m in pool:
             p, q = m
             child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
@@ -318,18 +309,10 @@ def _children(level: List[State], pool: Pool, parent: dict) -> Iterator[State]:
             if child[0] != child[1] and child not in parent:
                 parent[child] = (state, (RIGHT_MULTIPLY, m))
                 yield child
-        child = (y, x)  # never diagonal: level's states are not
+        child = state[::-1]  # never diagonal: level's states are not
         if child not in parent:
             parent[child] = (state, (SYMMETRY, None))
             yield child
-
-
-def _bare(x: Element) -> Optional[NormalForm]:
-    return None if x.u is None else (x.u, x.v)
-
-
-def _element(alphabet: Alphabet, nf: Optional[NormalForm]) -> Element:
-    return Element(alphabet, None, None) if nf is None else Element(alphabet, nf[0], nf[1])
 
 
 def _chain(alphabet: Alphabet, seed: Tuple[Element, Element], parent: dict, state: State,
@@ -343,6 +326,6 @@ def _chain(alphabet: Alphabet, seed: Tuple[Element, Element], parent: dict, stat
         state = prev
     steps = [DerivationStep(SEED, seed)]
     for (rule, m), (x, y) in hops[::-1] + tail:
-        by = None if m is None else _element(alphabet, m)
-        steps.append(DerivationStep(rule, (_element(alphabet, x), _element(alphabet, y)), by=by))
+        by = None if m is None else Element(alphabet, *m)
+        steps.append(DerivationStep(rule, (Element(alphabet, *x), Element(alphabet, *y)), by=by))
     return Derivation(tuple(steps))

@@ -4,7 +4,7 @@ The monoid on an alphabet of lambda >= 2 letters consists of a zero, an
 identity, and elements written uniquely as u'v where u, v are positive
 words (u' is the inverse of u).  An ``Element`` stores that normal form
 as the pair (u, v); the pair (empty, empty) is the identity and Zero is
-carried as a separate value, never as a pair.
+the pair (None, None), so every Zero test reads ``u is None``.
 
 Multiplication convention.  The product (u, v) * (p, q) cancels at the
 junction v * p' and cancellation proceeds from the word ENDS inward, so
@@ -49,18 +49,19 @@ def render_word(word: Sequence[int]) -> str:
     return "".join(letter_name(i) for i in word)
 
 
-NormalForm = Tuple[Word, Word]
+NormalForm = Tuple[Optional[Word], Optional[Word]]  # (u, v); (None, None) is Zero, as in Element
 
 
-def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[Word]) -> Optional[NormalForm]:
+def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[Word]) -> NormalForm:
     """The closed form of ``*`` on bare normal forms: (u, v) * (p, q).
 
     A factor with u (or p) None is Zero.  Returns the product's pair
-    (u, v), or None for Zero.  ``Element.__mul__`` and the collapse
-    search both multiply through this function.
+    (u, v), which is (None, None) for Zero, the shape of ``Element``'s
+    fields.  ``Element.__mul__`` and the collapse search both multiply
+    through this function.
     """
     if u is None or p is None:
-        return None
+        return None, None
     if len(v) >= len(p):
         cut = len(v) - len(p)
         if v[cut:] == p:
@@ -69,7 +70,7 @@ def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[
         cut = len(p) - len(v)
         if p[cut:] == v:
             return p[:cut] + u, q
-    return None
+    return None, None
 
 
 _set = object.__setattr__  # writes a slot past _Value.__setattr__
@@ -219,15 +220,11 @@ class Element(_Value):
             return NotImplemented
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(f"{self.alphabet} vs {other.alphabet}")
-        nf = mul_nf(self.u, self.v, other.u, other.v)
-        if nf is None:
-            return Element(self.alphabet, None, None)
-        return Element(self.alphabet, nf[0], nf[1])
+        u, v = mul_nf(self.u, self.v, other.u, other.v)
+        return Element(self.alphabet, u, v)
 
     def inverse(self) -> "Element":
-        """Swap the components; Zero is its own inverse."""
-        if self.u is None:
-            return self
+        """Swap the components; Zero, (None, None), is its own inverse."""
         return Element(self.alphabet, self.v, self.u)
 
     def downset(self) -> "list[Element]":

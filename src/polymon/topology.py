@@ -54,7 +54,7 @@ class CofiniteNbhd(_Value):
 
 
 def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNbhd:
-    return CofiniteNbhd(alphabet, frozenset(excluded))
+    return CofiniteNbhd(alphabet, excluded)
 
 
 def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:

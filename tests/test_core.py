@@ -131,9 +131,11 @@ def test_mul_nf_matches_oracle_and_element_product(lam, radius):
     elems = list(ball(Alphabet(lam), radius))
     for x, y in iproduct(elems, elems):
         nf = mul_nf(x.u, x.v, y.u, y.v)
-        wrapped = zero(x.alphabet) if nf is None else Element(x.alphabet, *nf)
-        assert wrapped == mul_oracle(x, y)
-        assert x * y == wrapped
+        want = mul_oracle(x, y)
+        # Zero is the pair (None, None), the shape of Element's fields
+        assert type(nf) is tuple and len(nf) == 2
+        assert (nf == (None, None)) == want.is_zero
+        assert Element(x.alphabet, *nf) == want == x * y
 
 
 def test_inverse_swaps_components():

@@ -119,6 +119,18 @@ def test_collapse_seed_already_at_target():
     verify_derivation(d, seed=(ZERO, ONE))
 
 
+@pytest.mark.parametrize("seed, steps", [
+    ((ONE, ZERO), [(SYMMETRY, None, (ZERO, ONE))]),
+    ((ZERO, A), [(RIGHT_MULTIPLY, A.inverse(), (ZERO, ONE))]),
+    ((A, ZERO), [(RIGHT_MULTIPLY, A.inverse(), (ONE, ZERO)), (SYMMETRY, None, (ZERO, ONE))]),
+])
+def test_collapse_zero_seeds(seed, steps):
+    # Zero on either side of the seed, and Zero reached by a step
+    d = collapse_witness(*seed)
+    assert [(s.rule, s.by, s.pair) for s in d.steps] == [(SEED, None, seed), *steps]
+    verify_derivation(d, seed=seed)
+
+
 def test_collapse_idempotent_unit_chain():
     e = A.inverse() * A
     d = collapse_witness(e, ONE)
