@@ -13,7 +13,10 @@ with that index; more digits than Python converts to an int (4300 by
 default) are a syntax error at the 'g'.  Letter indices are checked
 against the session alphabet while parsing, so an out-of-range letter
 fails before evaluation.  Parentheses nest at most ``MAX_NESTING`` deep.
-``tokenize`` yields plain (kind, position, letter index) tuples.
+``tokenize`` yields plain (kind, position, letter index) tuples; it
+looks each of the 32 single-character tokens, a-z and the punctuation
+``0 1 ( ) * '``, up in one table, and handles only 'g' digits, '^-1',
+whitespace (``str.isspace``) and errors by hand.
 
 By the relations x x' = 1 and x y' = 0 a whole expression denotes one
 signed word over the doubled alphabet, and ``parse`` emits that word
@@ -36,9 +39,10 @@ from .errors import ExpressionSyntaxError, UnknownLetter
 from .rewriting import FreeWord, reduce
 
 
-# Token kinds of the single-character tokens; letters are LETTER, "^-1"
-# is INVERT, and the parser ends its token list with END.
-_PUNCT = {"0": "ZERO", "1": "ONE", "(": "LPAREN", ")": "RPAREN", "*": "STAR", "'": "INVERT"}
+# The (kind, letter index or -1) of every single-character token; "^-1"
+# is INVERT too, and the parser ends its token list with END.
+_TABLE = {"0": ("ZERO", -1), "1": ("ONE", -1), "(": ("LPAREN", -1), ")": ("RPAREN", -1), "*": ("STAR", -1),
+          "'": ("INVERT", -1), **{chr(ord("a") + k): ("LETTER", k) for k in range(26)}}
 
 Token = Tuple[str, int, int]  # (kind, position, letter index or -1)
 
@@ -48,33 +52,31 @@ def tokenize(text: str) -> List[Token]:
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if "a" <= c <= "z":
-            # ASCII digits only: str.isdigit also takes "²" and "١"
-            if c == "g" and i + 1 < n and "0" <= text[i + 1] <= "9":
-                j = i + 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                try:
-                    index = int(text[i + 1:j])
-                except ValueError:  # more digits than Python converts to an int
-                    raise ExpressionSyntaxError("letter index too long", i) from None
-                out.append(("LETTER", i, index))
-                i = j
-            else:
-                out.append(("LETTER", i, ord(c) - 97))  # 97 is ord("a")
+        entry = _TABLE.get(c)
+        if entry is None:
+            if c.isspace():
                 i += 1
-        elif c in _PUNCT:
-            out.append((_PUNCT[c], i, -1))
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c == "^":
-            if text[i + 1:i + 3] != "-1":
-                raise ExpressionSyntaxError("expected '-1' after '^'", i)
-            out.append(("INVERT", i, -1))
-            i += 3
+            elif c == "^":
+                if text[i + 1:i + 3] != "-1":
+                    raise ExpressionSyntaxError("expected '-1' after '^'", i)
+                out.append(("INVERT", i, -1))
+                i += 3
+            else:
+                raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+        # ASCII digits only: str.isdigit also takes "²" and "١"
+        elif c == "g" and i + 1 < n and "0" <= text[i + 1] <= "9":
+            j = i + 1
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            try:
+                index = int(text[i + 1:j])
+            except ValueError:  # more digits than Python converts to an int
+                raise ExpressionSyntaxError("letter index too long", i) from None
+            out.append(("LETTER", i, index))
+            i = j
         else:
-            raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+            out.append((entry[0], i, entry[1]))
+            i += 1
     return out
 
 
@@ -86,16 +88,15 @@ def tokenize(text: str) -> List[Token]:
 MAX_NESTING = 200
 
 
-def _letter(index: int, pos: int, alphabet: Alphabet) -> int:
-    if index not in alphabet:
-        raise UnknownLetter(f"letter {letter_name(index)} (position {pos}) not in alphabet of size {alphabet.size}")
-    return index
+def _unknown(index: int, pos: int, alphabet: Alphabet) -> UnknownLetter:
+    return UnknownLetter(f"letter {letter_name(index)} (position {pos}) not in alphabet of size {alphabet.size}")
 
 
 def parse(text: str, alphabet: Alphabet) -> Optional[FreeWord]:
     """Parse expression text against a session alphabet into the signed
     word it denotes, in the encoding of ``rewriting``; None when the text
     holds a '0'."""
+    size = alphabet.size
     word: List[int] = []
     opened: List[int] = []  # where the word of each open group begins
     term = 0  # where the word of the last complete term begins
@@ -130,7 +131,10 @@ def parse(text: str, alphabet: Alphabet) -> Optional[FreeWord]:
             continue
         term, expecting = len(word), False
         if kind == "LETTER":
-            word.append(_letter(index, pos, alphabet) + 1)
+            # tokenize yields only int indices >= 0
+            if size is not None and index >= size:
+                raise _unknown(index, pos, alphabet)
+            word.append(index + 1)
         elif kind == "ZERO":
             is_zero = True  # parsing goes on, so later errors still fire
         elif kind == "END":
@@ -151,5 +155,7 @@ def parse_positive_word(text: str, alphabet: Alphabet) -> Word:
     for kind, pos, index in tokenize(text):
         if kind != "LETTER":
             raise ExpressionSyntaxError("positive words are letters only", pos)
-        letters.append(_letter(index, pos, alphabet))
+        if index not in alphabet:
+            raise _unknown(index, pos, alphabet)
+        letters.append(index)
     return tuple(letters)

@@ -10,14 +10,21 @@ The only redexes are (positive, inverted) adjacencies:
 
 An (inverted, positive) junction like a' a is inert; that is exactly why
 irreducible words have the shape inverted* positive* and denote normal
-forms u'v, with u read in reverse from the inverted prefix.  ``reduce``
-checks every letter and then makes a single left-to-right stack pass;
+forms u'v, with u read in reverse from the inverted prefix.
+
+``reduce`` checks every letter and then makes a single left-to-right
+pass that keeps the word read so far as its two halves, the inverted
+prefix and the positive suffix.  The shape inverted* positive* holds
+after every letter, so it needs no check at the end: a positive letter
+extends the suffix; an inverted letter extends the prefix while the
+suffix is empty, and otherwise meets the suffix's last letter, which it
+cancels or, being another letter, turns the whole word into Zero.
 ``parsing.evaluate`` calls it on the word ``parsing.parse`` emits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .core import Alphabet, Element, zero
 from .errors import AlphabetMismatch, UnknownLetter, ZeroArgument
@@ -40,29 +47,25 @@ def _checked(alphabet: Alphabet, word: Iterable[int]) -> List[int]:
     return w
 
 
-def _residue(alphabet: Alphabet, seq: Sequence[int]) -> Element:
-    # seq must already have the irreducible shape inverted* positive*
-    k = 0
-    while k < len(seq) and seq[k] < 0:
-        k += 1
-    u = tuple(-s - 1 for s in reversed(seq[:k]))
-    v = tuple(s - 1 for s in seq[k:])
-    assert all(s > 0 for s in seq[k:]), "residue not in inverted*positive* shape"
-    return Element(alphabet, u, v)
-
-
 def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
-    """Rewrite a signed word to Zero or its normal form (stack pass)."""
-    stack: List[int] = []
+    """Rewrite a signed word to Zero or its normal form u'v in one pass.
+
+    The word read so far rewrites to an inverted prefix, whose letters
+    ``inv`` holds in reading order, and a positive suffix, whose letters
+    ``pos`` holds (the module docstring says why no other shape occurs);
+    so u is ``inv`` reversed and v is ``pos``."""
+    inv: List[int] = []
+    pos: List[int] = []
     for s in _checked(alphabet, word):
-        if s < 0 and stack and stack[-1] > 0:
-            if stack[-1] == -s:
-                stack.pop()
-            else:
-                return zero(alphabet)
+        if s > 0:
+            pos.append(s - 1)
+        elif not pos:
+            inv.append(-s - 1)
+        elif pos[-1] == -s - 1:
+            pos.pop()
         else:
-            stack.append(s)
-    return _residue(alphabet, stack)
+            return zero(alphabet)
+    return Element(alphabet, tuple(inv[::-1]), tuple(pos))
 
 
 def mul_oracle(x: Element, y: Element) -> Element:

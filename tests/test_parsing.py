@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,24 @@ def test_infinite_alphabet_round_trip():
 def test_tokens_are_plain_tuples():
     assert tokenize("a^-1 g27'") == [("LETTER", 0, 0), ("INVERT", 1, -1), ("LETTER", 5, 27), ("INVERT", 8, -1)]
     assert all(type(tok) is tuple for tok in tokenize("(0 1)*b"))
+
+
+def test_character_classes_of_the_tokenizer():
+    # U+3000 is the last code point that str.isspace accepts
+    assert max(c for c in range(sys.maxunicode + 1) if chr(c).isspace()) < 0x3001
+    single = {"0": "ZERO", "1": "ONE", "(": "LPAREN", ")": "RPAREN", "*": "STAR", "'": "INVERT"}
+    single.update((chr(c), "LETTER") for c in range(ord("a"), ord("z") + 1))
+    assert len(single) == 32
+    for c in map(chr, range(0x3001)):
+        if c.isspace():
+            assert tokenize(c) == []
+        elif c in single:
+            assert tokenize(c) == [(single[c], 0, ord(c) - 97 if c.isalpha() else -1)]
+        else:
+            message = "expected '-1' after '^'" if c == "^" else f"unexpected character {c!r}"
+            with pytest.raises(ExpressionSyntaxError) as caught:
+                tokenize(c)
+            assert str(caught.value) == f"{message} (position 0)" and caught.value.position == 0
 
 
 def test_letter_index_takes_ascii_digits_only():

@@ -14,6 +14,7 @@ from polymon import (
     AlphabetMismatch,
     Element,
     EqualPair,
+    PolymonError,
     UnknownLetter,
     ZeroArgument,
     ball,
@@ -110,6 +111,70 @@ def test_reduce_is_idempotent(w):
     r = reduce(AB2, w)
     if not r.is_zero:
         assert reduce(AB2, free_word(r)) == r
+
+
+def padded_word(rng: random.Random, letters: list, max_len: int) -> list:
+    """The free word of a random normal form, with cancelling pairs s s'
+    put in at random places, so that it keeps its (nonzero) value."""
+    w = [-rng.choice(letters) for _ in range(rng.randint(0, 4))] + [rng.choice(letters) for _ in range(rng.randint(0, 4))]
+    while len(w) + 2 <= max_len and rng.random() < 0.9:
+        k, s = rng.randint(0, len(w)), rng.choice(letters)
+        w[k:k] = [s, -s]
+    return w
+
+
+@pytest.mark.parametrize("ab, letters", [(Alphabet(3), [1, 2, 3]), (Alphabet(None), [1, 2, 3, 27, 10**9])])
+@given(seed=st.integers(0, 2**32 - 1), padded=st.booleans(), size=st.integers(0, 30))
+def test_reduce_agrees_with_stepwise_on_larger_alphabets(ab, letters, seed, padded, size):
+    rng = random.Random(seed)
+    if padded:
+        w = padded_word(rng, letters, size)
+    else:
+        w = [rng.choice(letters) * rng.choice((1, -1)) for _ in range(size)]
+    got = reduce(ab, w)
+    assert got == reduce_stepwise(ab, w, "leftmost") == reduce_stepwise(ab, w, "rightmost")
+    if padded:
+        assert not got.is_zero
+
+
+REDUCE_SHA256 = "ef064df8b5c21b1d5ca817a59dcab01263a39d24735b3430071b86923a8faaa9"
+
+
+def reduce_outcome_words():
+    """Every word of up to 5 letters over {0, ±1, ±2, ±3} on λ = 2 and 3,
+    then 2000 seeded random words of up to 40 letters over λ = 2, 3 and ∞,
+    half of them padded normal forms, with True, 0 and letters past the
+    alphabet mixed in."""
+    cases = []
+    for ab in (AB2, Alphabet(3)):
+        layer = [()]
+        for _ in range(6):
+            cases += [(ab, w) for w in layer]
+            layer = [w + (s,) for w in layer for s in (0, 1, -1, 2, -2, 3, -3)]
+    rng = random.Random(20)
+    for _ in range(2000):
+        lam = rng.choice((2, 3, None))
+        letters = list(range(1, (lam or 4) + 1)) + ([] if lam else [10**30])
+        if rng.random() < 0.5:
+            w = padded_word(rng, letters, 40)
+        else:
+            w = [rng.choice(letters) * rng.choice((1, -1)) for _ in range(rng.randint(0, 40))]
+        for k in range(len(w)):
+            if rng.random() < 0.02:
+                w[k] = rng.choice((True, 0, -(lam or 0) - 1))
+        cases.append((Alphabet(lam), tuple(w)))
+    return cases
+
+
+def test_reduce_outcomes_are_pinned():
+    records = []
+    for ab, w in reduce_outcome_words():
+        try:
+            records.append(reduce(ab, w).to_json())
+        except PolymonError as err:
+            records.append([type(err).__name__, str(err)])
+    blob = json.dumps(records, ensure_ascii=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REDUCE_SHA256
 
 
 def test_collapse_seed_already_at_target():
