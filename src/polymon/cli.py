@@ -166,30 +166,27 @@ def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) ->
 
 
 def _continuity(args, alphabet: Alphabet) -> tuple:
-    from .topology import CofiniteNbhd, certify_translations, cofinite, shrink_neighborhood
+    from .topology import certify_translations, cofinite, shrink_neighborhood
     a = _element(args.a, alphabet)
     items = [s for s in (piece.strip() for piece in args.exclude.split(",")) if s]
     target = cofinite(alphabet, [_element(s, alphabet) for s in items])
     shrunk = shrink_neighborhood(a, target)
     bad = certify_translations(a, target, shrunk, args.radius)
     trivial = a.is_zero
-
-    def fmt(nbhd: CofiniteNbhd) -> str:
-        members = nbhd.excluded_sorted()
-        return ", ".join(str(e) for e in members) if members else "none"
-
+    in_text, in_json = _element_list(target.excluded_sorted())
+    out_text, out_json = _element_list(shrunk.excluded_sorted())
     text = "\n".join([
         f"translation: {a}",
-        f"excluded input: {fmt(target)}",
-        f"excluded output: {fmt(shrunk)}",
+        f"excluded input: {in_text or 'none'}",
+        f"excluded output: {out_text or 'none'}",
         f"verified radius: {args.radius}",
         "counterexamples: " + (", ".join(f"{x} ({side}: {prod})" for x, side, prod in bad) if bad else "none"),
         f"trivial: {'yes' if trivial else 'no'}",
     ])
     return text, {
         "translation": a.to_json(),
-        "excluded_input": target.to_json()["excluded"],
-        "excluded_output": shrunk.to_json()["excluded"],
+        "excluded_input": in_json,
+        "excluded_output": out_json,
         "verified_radius": args.radius,
         "counterexamples": [
             {"x": x.to_json(), "side": side, "product": prod.to_json()} for x, side, prod in bad

@@ -57,8 +57,8 @@ def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[
 
     A factor with u (or p) None is Zero.  Returns the product's pair
     (u, v), which is (None, None) for Zero, the shape of ``Element``'s
-    fields.  ``Element.__mul__`` and the collapse search both multiply
-    through this function.
+    fields.  ``Element.__mul__``, ``green.act`` and the collapse search
+    all multiply through this function.
     """
     if u is None or p is None:
         return None, None
@@ -283,9 +283,7 @@ def one(alphabet: Alphabet) -> Element:
 
 def generator(alphabet: Alphabet, index: int) -> Element:
     """The letter itself as an element: the pair (empty, letter)."""
-    if index not in alphabet:
-        raise UnknownLetter(f"letter index {index} not in alphabet of size {alphabet.size}")
-    return Element(alphabet, (), (index,))
+    return Element(alphabet, (), alphabet.check_word((index,)))
 
 
 def element(alphabet: Alphabet, u: Sequence[int], v: Sequence[int]) -> Element:

@@ -22,6 +22,7 @@ from .core import (
     elements_of_size,
     enumeration_key,
     letter_name,
+    mul_nf,
     zero,
 )
 from .errors import (
@@ -140,18 +141,15 @@ def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
 
 
 def act(x: Element, word: Sequence[int]) -> Optional[Word]:
-    """Apply x = (u, v) to a stack word (top at the right end).
+    """Apply x = (u, v) to a stack word w (top at the right end).
 
-    Defined exactly when u is a suffix of the word; the result swaps that
-    suffix for v.  None encodes Undefined; Zero acts as the empty map.
+    The closed form of ``*`` on (empty, w): (empty, w) * x is (empty, t),
+    t being w with its suffix u swapped for v, exactly when u is a suffix
+    of w.  Every other product leaves the action undefined, encoded as
+    None, so Zero acts as the empty map.
     """
-    w = x.alphabet.check_word(word)
-    if x.u is None:
-        return None
-    cut = len(w) - len(x.u)
-    if cut >= 0 and w[cut:] == x.u:
-        return w[:cut] + x.v
-    return None
+    u, v = mul_nf((), x.alphabet.check_word(word), x.u, x.v)
+    return v if u == () else None
 
 
 def cayley_dot(b: Ball) -> str:

@@ -12,19 +12,19 @@ An (inverted, positive) junction like a' a is inert; that is exactly why
 irreducible words have the shape inverted* positive* and denote normal
 forms u'v, with u read in reverse from the inverted prefix.
 
-``reduce`` checks every letter and then makes a single left-to-right
-pass that keeps the word read so far as its two halves, the inverted
-prefix and the positive suffix.  The shape inverted* positive* holds
-after every letter, so it needs no check at the end: a positive letter
-extends the suffix; an inverted letter extends the prefix while the
-suffix is empty, and otherwise meets the suffix's last letter, which it
-cancels or, being another letter, turns the whole word into Zero.
+``reduce`` makes a single left-to-right pass that checks each letter as
+it reads it and keeps the word read so far as its two halves, the
+inverted prefix and the positive suffix.  The shape inverted* positive*
+holds after every letter, so it needs no check at the end: a positive
+letter extends the suffix; an inverted letter extends the prefix while
+the suffix is empty, and otherwise meets the suffix's last letter, which
+it cancels or, being another letter, turns the whole word into Zero.
 ``parsing.evaluate`` calls it on the word ``parsing.parse`` emits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .core import Alphabet, Element, zero
 from .errors import AlphabetMismatch, UnknownLetter, ZeroArgument
@@ -39,24 +39,22 @@ def free_word(x: Element) -> FreeWord:
     return tuple(-(i + 1) for i in reversed(x.u)) + tuple(i + 1 for i in x.v)
 
 
-def _checked(alphabet: Alphabet, word: Iterable[int]) -> List[int]:
-    w = list(word)
-    for s in w:
-        if s == 0 or type(s) is bool or abs(s) - 1 not in alphabet:
-            raise UnknownLetter(f"signed letter {s} invalid for alphabet of size {alphabet.size}")
-    return w
-
-
 def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
-    """Rewrite a signed word to Zero or its normal form u'v in one pass.
+    """Rewrite a signed word to Zero or its normal form u'v in one pass,
+    checking each letter as it reads it.
 
     The word read so far rewrites to an inverted prefix, whose letters
     ``inv`` holds in reading order, and a positive suffix, whose letters
     ``pos`` holds (the module docstring says why no other shape occurs);
-    so u is ``inv`` reversed and v is ``pos``."""
+    so u is ``inv`` reversed and v is ``pos``.  Once the word is Zero,
+    ``pos`` is None and the pass only checks the letters left."""
     inv: List[int] = []
-    pos: List[int] = []
-    for s in _checked(alphabet, word):
+    pos: Optional[List[int]] = []
+    for s in word:
+        if s == 0 or type(s) is bool or abs(s) - 1 not in alphabet:
+            raise UnknownLetter(f"signed letter {s} invalid for alphabet of size {alphabet.size}")
+        if pos is None:
+            continue
         if s > 0:
             pos.append(s - 1)
         elif not pos:
@@ -64,8 +62,8 @@ def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
         elif pos[-1] == -s - 1:
             pos.pop()
         else:
-            return zero(alphabet)
-    return Element(alphabet, tuple(inv[::-1]), tuple(pos))
+            pos = None
+    return zero(alphabet) if pos is None else Element(alphabet, tuple(inv[::-1]), tuple(pos))
 
 
 def mul_oracle(x: Element, y: Element) -> Element:

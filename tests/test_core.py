@@ -46,6 +46,16 @@ def test_alphabet_bounds():
             Alphabet(bad)
 
 
+def test_generator_names_an_unknown_letter():
+    # generator checks its letter as element() does, with the same message
+    messages = []
+    for build in (lambda: generator(AB2, 5), lambda: element(AB2, (), (5,))):
+        with pytest.raises(UnknownLetter) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages == ["letter 'f' not in alphabet of size 2"] * 2
+
+
 def test_alphabet_size_must_be_an_int():
     # a float size would admit letter c below 2.5 and break ``ball``
     for bad in (2.5, 3.0, "3"):

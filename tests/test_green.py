@@ -22,6 +22,7 @@ from polymon import (
     element,
     enumeration_key,
     generator,
+    mul_oracle,
     one,
     rclass_key,
     rclass_witness,
@@ -212,16 +213,20 @@ def test_act_examples():
 
 
 def test_act_matches_multiplication():
-    # act(x, w) == t exactly when (eps, w) * x is the positive element (eps, t)
-    words = [w for n in range(4) for w in iproduct(range(2), repeat=n)]
-    for x in ball(AB2, 2):
-        for w in words:
-            got = act(x, w)
-            prod = element(AB2, (), w) * x
-            if got is None:
-                assert prod.is_zero or prod.u != ()
-            else:
-                assert prod == element(AB2, (), got)
+    # act(x, w) == t exactly when (eps, w) * x is the positive element (eps, t);
+    # act multiplies through the closed form, so the rewriting route
+    # ``mul_oracle``, which shares no code with it, is checked as well
+    for ab in (AB2, AB3):
+        words = [w for n in range(4) for w in iproduct(range(ab.size), repeat=n)]
+        for x in ball(ab, 2):
+            for w in words:
+                got = act(x, w)
+                stack = element(ab, (), w)
+                for prod in (stack * x, mul_oracle(stack, x)):
+                    if got is None:
+                        assert prod.is_zero or prod.u != ()
+                    else:
+                        assert prod == element(ab, (), got)
 
 
 def test_action_composition_law():

@@ -1,0 +1,118 @@
+"""Metamorphic checks of the closed forms behind ``reduce``, ``act`` and ``*``.
+
+Each test transforms its input in a way whose effect on the answer is
+known, and compares the two answers; no oracle is needed.  Inputs are
+long: signed words of 20-200 letters over the countable alphabet, with
+letters up to g1000.  A few letters from that range make up each word,
+and some words are a normal form padded with cancelling pairs, so both
+Zero and nonzero answers occur.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polymon import Alphabet, Element, act, reduce, zero
+
+INF = Alphabet(None)
+AB3 = Alphabet(3)
+TOP = 1000  # largest letter index drawn, g1000
+
+seeds = st.integers(0, 2**32 - 1)
+lengths = st.integers(20, 200)
+
+
+def letter_pool(rng: random.Random, top: int = TOP) -> list:
+    return rng.sample(range(top + 1), rng.randint(1, min(4, top + 1)))
+
+
+def signed_word(rng: random.Random, pool: list, n: int) -> list:
+    """n signed letters over pool: random, or the free word of a random
+    normal form with cancelling pairs s s' put in up to length n."""
+    if rng.random() < 0.5:
+        return [(rng.choice(pool) + 1) * rng.choice((1, -1)) for _ in range(n)]
+    w = [-(rng.choice(pool) + 1) for _ in range(rng.randint(0, 8))]
+    w += [rng.choice(pool) + 1 for _ in range(rng.randint(0, 8))]
+    while len(w) + 2 <= n:
+        k, s = rng.randint(0, len(w)), rng.choice(pool) + 1
+        w[k:k] = [s, -s]
+    return w
+
+
+def positive_word(rng: random.Random, pool: list, n: int) -> tuple:
+    return tuple(rng.choice(pool) for _ in range(n))
+
+
+def acting_pair(rng: random.Random, pool: list, n: int, alphabet: Alphabet = INF):
+    """An element x = (u, v) and a stack word of n letters that ends in u
+    half of the time, so that the action is often defined."""
+    u = positive_word(rng, pool, rng.randint(0, 10))
+    v = positive_word(rng, pool, rng.randint(0, 10))
+    w = positive_word(rng, pool, n)
+    if rng.random() < 0.5:
+        w = w[:max(0, n - len(u))] + u
+    x = zero(alphabet) if rng.random() < 0.05 else Element(alphabet, u, v)
+    return x, w
+
+
+def factor_pair(rng: random.Random, pool: list, n: int):
+    """Elements x, y of total size about n whose junction x.v * y.u' often
+    cancels: y.u is a suffix of x.v, or x.v a suffix of y.u, or neither."""
+    common = positive_word(rng, pool, n // 4)
+    head = positive_word(rng, pool, rng.randint(0, n // 4))
+    v, p = [(head + common, common), (common, head + common), (head, common)][rng.randrange(3)]
+    x = Element(INF, positive_word(rng, pool, n // 4), v)
+    y = Element(INF, p, positive_word(rng, pool, n // 4))
+    return x, y
+
+
+def permutation(rng: random.Random) -> list:
+    perm = list(range(TOP + 1))
+    rng.shuffle(perm)
+    return perm
+
+
+def rename(perm: list, x: Element) -> Element:
+    if x.is_zero:
+        return x
+    return Element(x.alphabet, tuple(perm[i] for i in x.u), tuple(perm[i] for i in x.v))
+
+
+@settings(deadline=None)
+@given(seed=seeds, n=lengths)
+def test_renaming_letters_commutes_with_reduce_act_and_product(seed, n):
+    rng = random.Random(seed)
+    perm, pool = permutation(rng), letter_pool(rng)
+    w = signed_word(rng, pool, n)
+    renamed = [(perm[abs(s) - 1] + 1) * (1 if s > 0 else -1) for s in w]
+    assert reduce(INF, renamed) == rename(perm, reduce(INF, w))
+
+    x, stack = acting_pair(rng, pool, n)
+    t = act(x, stack)
+    renamed_t = None if t is None else tuple(perm[i] for i in t)
+    assert act(rename(perm, x), tuple(perm[i] for i in stack)) == renamed_t
+
+    x, y = factor_pair(rng, pool, n)
+    assert rename(perm, x) * rename(perm, y) == rename(perm, x * y)
+
+
+@settings(deadline=None)
+@given(seed=seeds, n=lengths)
+def test_three_letters_answer_as_the_countable_alphabet_does(seed, n):
+    rng = random.Random(seed)
+    pool = letter_pool(rng, top=2)
+    w = signed_word(rng, pool, n)
+    finite, countable = reduce(AB3, w), reduce(INF, w)
+    assert (finite.u, finite.v) == (countable.u, countable.v)
+
+    x, stack = acting_pair(rng, pool, n, AB3)
+    assert act(x, stack) == act(Element(INF, x.u, x.v), stack)
+
+
+@settings(deadline=None)
+@given(seed=seeds, n=lengths)
+def test_reduce_of_the_mirrored_word_is_the_inverse(seed, n):
+    rng = random.Random(seed)
+    w = signed_word(rng, letter_pool(rng), n)
+    assert reduce(INF, [-s for s in reversed(w)]) == reduce(INF, w).inverse()

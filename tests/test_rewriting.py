@@ -1,6 +1,7 @@
 """Free-word reduction oracle and the congruence-collapse search."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -67,6 +68,21 @@ def test_reduce_validates_letters():
         reduce(AB2, [6])  # letter 5
     with pytest.raises(UnknownLetter):
         reduce(AB2, [0])  # 0 is not a valid signed letter
+
+
+def test_reduce_reads_a_one_shot_iterator():
+    # one pass: an iterator gives the same answer as the tuple it yields
+    signed = (1, 2, -1, -2)
+    for n in range(6):
+        for w in itertools.product(signed, repeat=n):
+            assert reduce(AB2, iter(w)) == reduce(AB2, tuple(w))
+
+
+def test_reduce_checks_letters_after_the_zero_point():
+    # a b' is already Zero, yet the bad letter after it still raises
+    with pytest.raises(UnknownLetter) as exc:
+        reduce(AB2, iter([1, -2, 6]))
+    assert str(exc.value) == "signed letter 6 invalid for alphabet of size 2"
 
 
 def test_free_word_round_trip():
