@@ -20,7 +20,7 @@ _HOMES = {name: module for module, names in (
     ("core", "Alphabet Element element enumeration_key generator letter_name make_alphabet one render_word zero"),
     ("errors", "PolymonError TooFewGenerators AlphabetMismatch UnknownLetter ZeroArgument KeyMismatch "
                "InfiniteAlphabet EqualPair ExpressionSyntaxError"),
-    ("green", "Ball RClassKey act ball ball_cardinality cayley_dot rclass_key rclass_witness solve_axb"),
+    ("green", "Ball act ball ball_cardinality cayley_dot rclass_key rclass_witness solve_axb"),
     ("parsing", "evaluate parse parse_positive_word"),
     ("rewriting", "free_word mul_oracle reduce"),
     ("collapse", "Derivation DerivationStep collapse_witness verify_derivation"),

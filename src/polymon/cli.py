@@ -132,8 +132,8 @@ def _downset(args, alphabet: Alphabet) -> tuple:
 
 def _rclass(args, alphabet: Alphabet) -> tuple:
     from .green import rclass_key
-    rep = rclass_key(_element(args.expr, alphabet)).representative(alphabet)
-    return str(rep), rep.to_json()
+    key = rclass_key(_element(args.expr, alphabet))
+    return str(key), key.to_json()
 
 
 def _ball(args, alphabet: Alphabet) -> tuple:
@@ -269,7 +269,3 @@ def main(argv: list[str] | None = None) -> int:
     except (PolymonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -132,21 +132,19 @@ class Alphabet(_Value):
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_finite(self) -> bool:
-        return self.size is not None
-
     def __contains__(self, letter: int) -> bool:
         if not isinstance(letter, int) or type(letter) is bool or letter < 0:
             return False
         return self.size is None or letter < self.size
 
     def check_word(self, word: Sequence[int]) -> Word:
-        """Validate every letter and return the word as a tuple."""
+        """Validate every letter and return the word as a tuple.  An unknown
+        index >= 0 is named as the parser names it; any other value by repr."""
         w = tuple(word)
         for i in w:
             if i not in self:
-                raise UnknownLetter(f"letter {letter_name(i) if isinstance(i, int) and type(i) is not bool else i!r} not in alphabet of size {self.size}")
+                named = isinstance(i, int) and type(i) is not bool and i >= 0
+                raise UnknownLetter(f"letter {letter_name(i) if named else repr(i)} not in alphabet of size {self.size}")
         return w
 
 
@@ -256,7 +254,7 @@ class Element(_Value):
         return inv + render_word(self.v)
 
     def __repr__(self) -> str:
-        lam = self.alphabet.size if self.alphabet.is_finite else "inf"
+        lam = "inf" if self.alphabet.size is None else self.alphabet.size
         return f"<Element {self} | lambda={lam}>"
 
     def to_json(self) -> dict:

@@ -1,7 +1,9 @@
 """R-class structure, the finite equation solver, balls, and the stack action.
 
 A nonzero element u'v lies in the R-class determined entirely by u; Zero
-is alone in its class.  ``solve_axb`` returns the exact finite solution
+is alone in its class.  ``rclass_key`` names a class by its canonical
+member, the element u' = (u, empty) or Zero, so keys over different
+alphabets differ.  ``solve_axb`` returns the exact finite solution
 set of a*x*b = c in closed form, by prefix and suffix checks on the
 normal forms (the test suite checks it against a bounded enumeration),
 and ``act`` realizes elements as partial maps on positive words (stack
@@ -17,7 +19,6 @@ from .core import (
     Element,
     NormalForm,
     Word,
-    _set,
     _Value,
     elements_of_size,
     enumeration_key,
@@ -33,24 +34,10 @@ from .errors import (
 )
 
 
-class RClassKey(_Value):
-    """R-class label: the first component u, or None for the class of Zero."""
-
-    __slots__ = _fields = ("word",)
-
-    def __init__(self, word: Optional[Word]) -> None:
-        _set(self, "word", word)  # not _Value.__init__: rclass_key is hot
-
-    def representative(self, alphabet: Alphabet) -> Element:
-        """Canonical member: Zero, or the pure inverse word (u, empty)."""
-        if self.word is None:
-            return zero(alphabet)
-        return Element(alphabet, self.word, ())
-
-
-def rclass_key(x: Element) -> RClassKey:
-    """Key of the R-class of x; equal keys iff x*x' = y*y'."""
-    return RClassKey(x.u)
+def rclass_key(x: Element) -> Element:
+    """Key of the R-class of x, its canonical member: Zero, or the pure
+    inverse word u' = (u, empty) for x = u'v.  Equal keys iff x*x' = y*y'."""
+    return Element(x.alphabet, x.u, None if x.u is None else ())
 
 
 def rclass_witness(x: Element, y: Element) -> Element:
@@ -87,7 +74,7 @@ class Ball(_Value):
 
 def ball(alphabet: Alphabet, n: int) -> Ball:
     """Enumerate the radius-n ball; finite alphabets only."""
-    if not alphabet.is_finite:
+    if alphabet.size is None:
         raise InfiniteAlphabet("balls are finite only over finite alphabets")
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
@@ -155,7 +142,7 @@ def act(x: Element, word: Sequence[int]) -> Optional[Word]:
 def cayley_dot(b: Ball) -> str:
     """Right-Cayley graph of the ball in DOT: edges x -> x*g for each
     letter g.  Products outside the ball still appear as nodes."""
-    if not b.alphabet.is_finite:
+    if b.alphabet.size is None:
         raise InfiniteAlphabet("DOT export needs a finite alphabet")
     gens = [(i, Element(b.alphabet, (), (i,))) for i in range(b.alphabet.size)]
     ids = {x: f"n{k}" for k, x in enumerate(b.elements)}

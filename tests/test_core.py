@@ -53,7 +53,10 @@ def test_generator_names_an_unknown_letter():
         with pytest.raises(UnknownLetter) as exc:
             build()
         messages.append(str(exc.value))
-    assert messages == ["letter 'f' not in alphabet of size 2"] * 2
+    assert messages == ["letter f not in alphabet of size 2"] * 2
+    # a negative index is no letter name; it is shown as the int it is
+    with pytest.raises(UnknownLetter, match="^letter -1 not in alphabet of size 2$"):
+        element(AB2, (-1,), ())
 
 
 def test_alphabet_size_must_be_an_int():
@@ -299,7 +302,6 @@ def test_hash_consistency():
 VALUES = {
     "Alphabet": (AB3, "size"),
     "Element": (element(AB2, (0,), (1,)), "u"),
-    "RClassKey": (rclass_key(element(AB2, (0,), (1,))), "word"),
     "Ball": (ball(AB2, 1), "radius"),
     "DerivationStep": (DerivationStep("seed", (A, ONE)), "rule"),
     "Derivation": (Derivation((DerivationStep("seed", (A, ONE)),)), "steps"),

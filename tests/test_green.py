@@ -41,17 +41,26 @@ ONE, ZERO = one(AB2), zero(AB2)
 def test_rclass_keys():
     assert rclass_key(A.inverse() * B) == rclass_key(A.inverse())
     assert rclass_key(A) == rclass_key(B)  # both have empty first component
-    assert rclass_key(ONE).word == ()
-    assert rclass_key(ZERO).word is None
-    assert rclass_key(ZERO).representative(AB2) == ZERO
-    assert str(rclass_key(A.inverse() * B).representative(AB2)) == "a'"
+    assert rclass_key(ONE) == ONE
+    assert rclass_key(ZERO) == ZERO
+    assert str(rclass_key(A.inverse() * B)) == "a'"
+
+
+def test_rclass_keys_differ_across_alphabets():
+    # a'b over 2 letters and a'a over 3 share u = (a), but their x*x' lie in different monoids
+    x, y = element(AB2, (0,), (1,)), element(AB3, (0,), (0,))
+    assert rclass_key(x) != rclass_key(y)
+    assert rclass_key(zero(AB2)) != rclass_key(zero(AB3))
 
 
 def test_key_equality_matches_left_idempotent():
     b3 = list(ball(AB2, 3))
     for x in b3:
+        k = rclass_key(x)
+        assert k * k.inverse() == x * x.inverse()
+        assert rclass_key(k) == k
         for y in b3:
-            assert (rclass_key(x) == rclass_key(y)) == (x * x.inverse() == y * y.inverse())
+            assert (k == rclass_key(y)) == (x * x.inverse() == y * y.inverse())
 
 
 def test_witness_examples():

@@ -1,11 +1,14 @@
-"""Metamorphic checks of the closed forms behind ``reduce``, ``act`` and ``*``.
+"""Metamorphic checks of the closed forms behind ``reduce``, ``act``, ``*``,
+``solve_axb`` and ``rclass_key``.
 
 Each test transforms its input in a way whose effect on the answer is
 known, and compares the two answers; no oracle is needed.  Inputs are
 long: signed words of 20-200 letters over the countable alphabet, with
 letters up to g1000.  A few letters from that range make up each word,
 and some words are a normal form padded with cancelling pairs, so both
-Zero and nonzero answers occur.
+Zero and nonzero answers occur.  Solver triples are planted: c = a*x*b
+is built nonzero from a known solution x, with elements of size up to 30
+over three letters.
 """
 
 import random
@@ -13,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymon import Alphabet, Element, act, reduce, zero
+from polymon import Alphabet, Element, act, rclass_key, reduce, solve_axb, zero
 
 INF = Alphabet(None)
 AB3 = Alphabet(3)
@@ -116,3 +119,38 @@ def test_reduce_of_the_mirrored_word_is_the_inverse(seed, n):
     rng = random.Random(seed)
     w = signed_word(rng, letter_pool(rng), n)
     assert reduce(INF, [-s for s in reversed(w)]) == reduce(INF, w).inverse()
+
+
+def planted_triple(rng: random.Random, pool: list):
+    """Nonzero a, b, c = a*x*b and the x planted in it: of a.v and x.u,
+    one is a suffix of the other, and so of b.u and the second component
+    of a*x, so neither junction cancels to Zero."""
+    def word(k: int = 6) -> tuple:
+        return positive_word(rng, pool, rng.randint(0, k))
+
+    def overlapping(w: tuple) -> tuple:
+        # w with a head put in front, or a suffix of w
+        return word() + w if rng.random() < 0.5 else w[rng.randint(0, len(w)):]
+
+    x = Element(INF, word(), word())
+    a = Element(INF, word(), overlapping(x.u))
+    b = Element(INF, overlapping((a * x).v), word())
+    return a, b, a * x * b, x
+
+
+@settings(deadline=None)
+@given(seed=seeds)
+def test_solver_answers_inverted_and_renamed_triples(seed):
+    rng = random.Random(seed)
+    perm, pool = permutation(rng), rng.sample(range(TOP), 3)
+    a, b, c, x = planted_triple(rng, pool)
+    solutions = solve_axb(a, b, c)
+    assert not c.is_zero and x in solutions
+
+    inverted = solve_axb(b.inverse(), a.inverse(), c.inverse())
+    assert set(inverted) == {s.inverse() for s in solutions}
+
+    renamed = solve_axb(rename(perm, a), rename(perm, b), rename(perm, c))
+    assert set(renamed) == {rename(perm, s) for s in solutions}
+    for e in (a, b, c, *solutions):
+        assert rclass_key(rename(perm, e)) == rename(perm, rclass_key(e))
