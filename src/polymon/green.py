@@ -12,6 +12,7 @@ top at the right end).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -20,7 +21,6 @@ from .core import (
     NormalForm,
     Word,
     _Value,
-    elements_of_size,
     enumeration_key,
     letter_name,
     mul_nf,
@@ -73,37 +73,43 @@ class Ball(_Value):
 
 
 def ball(alphabet: Alphabet, n: int) -> Ball:
-    """Enumerate the radius-n ball; finite alphabets only."""
+    """Enumerate the radius-n ball; finite alphabets only.  The words of
+    each length k <= n are listed once and paired by (|u| + |v|, |u|, u,
+    v), the order ``core.elements_of_size`` yields size by size."""
     if alphabet.size is None:
         raise InfiniteAlphabet("balls are finite only over finite alphabets")
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    # radius 0 needs no letters, so a huge alphabet costs nothing there
-    letters = list(range(alphabet.size)) if n >= 1 else []
-    members: List[Element] = [zero(alphabet)]
-    for total in range(n + 1):
-        members.extend(elements_of_size(alphabet, letters, total))
-    return Ball(alphabet, n, tuple(members))
+    # the empty word needs no letters, so radius 0 costs nothing over a huge alphabet
+    words = [list(product(range(alphabet.size), repeat=k)) if k else [()] for k in range(n + 1)]
+    members = [Element(alphabet, u, v) for total in range(n + 1) for ulen in range(total + 1)
+               for u in words[ulen] for v in words[total - ulen]]
+    return Ball(alphabet, n, (zero(alphabet), *members))
 
 
-def _solve_left(ua: Word, va: Word, uc: Word, vc: Word) -> Iterator[NormalForm]:
+def _solve_left(ua: Word, va: Word, uc: Word, vc: Word) -> List[NormalForm]:
     """Every y = (p, q) with (ua, va) * y = (uc, vc), as bare pairs, for
     nonzero a = (u_a, v_a) and c = (u_c, v_c).
 
-    Read off the closed form of ``*``: either y = (p, q) with p a suffix
-    of v_a, so v_a = w + p, u_c = u_a and v_c = w + q, one y per split of
-    v_a whose head w is a prefix of v_c; or v_a is a proper suffix of p,
-    p = s + v_a with s non-empty, and then c = (s + u_a, q).  At most
-    |v_a| + 2 solutions, using only letters of a and c.
+    Read off the closed form of ``*``: u_a is a suffix of u_c in either
+    case.  Either y = (p, q) with p a suffix of v_a, so v_a = w + p,
+    u_c = u_a and v_c = w + q, one y per split of v_a whose head w is a
+    prefix of v_c; or v_a is a proper suffix of p, p = s + v_a with s
+    non-empty, and then c = (s + u_a, q).  The first case needs
+    u_c = u_a and the second a longer u_c, so at most |v_a| + 1
+    solutions, using only letters of a and c.
     """
-    if uc == ua:
-        for k in range(len(va) + 1):
-            if vc[:k] != va[:k]:
-                break
-            yield va[k:], vc[k:]
     cut = len(uc) - len(ua)
-    if cut > 0 and uc[cut:] == ua:
-        yield uc[:cut] + va, vc
+    if cut < 0 or uc[cut:] != ua:
+        return []
+    if cut:
+        return [(uc[:cut] + va, vc)]
+    found = []
+    for k in range(len(va) + 1):
+        if vc[:k] != va[:k]:
+            break
+        found.append((va[k:], vc[k:]))
+    return found
 
 
 def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
@@ -112,7 +118,7 @@ def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
     Closed form in two one-sided solves on bare pairs: every y with
     a*y = c, then every x with x*b = y, found as the inverses of the x'
     with b'*x' = y'.  A nonzero c forces y = x*b, so distinct y give
-    disjoint sets of x, and there are at most (|v_a| + 2) * (|u_b| + 2)
+    disjoint sets of x, and there are at most (|v_a| + 1) * (|u_b| + 1)
     solutions, each using only letters of a, b and c.
     """
     for e in (a, b, c):

@@ -10,10 +10,11 @@ continuous: ``shrink_neighborhood`` produces, for a target neighborhood
 U of Zero, a smaller V whose image under both translations stays in U,
 using the closed-form one-sided solver on bare (u, v) pairs to know
 exactly which points to drop.  ``certify_translations`` does not call
-the shrink: it re-solves the same equations on bare pairs and checks
-with ``*`` those a proposed shrink keeps, the only points that can
-fail.  Neither enumerates a ball, so both work over the countable
-alphabet too; the test suite compares them with a ball scan.
+the shrink: it re-solves the same equations on bare pairs, drops the
+pairs a proposed shrink excludes, and builds ``Element``s only for the
+survivors, the only points that can fail, which it checks with ``*``.
+Neither enumerates a ball, so both work over the countable alphabet
+too; the test suite compares them with a ball scan.
 Multiplication as a function of two variables is not continuous at
 (0, 0): ``joint_discontinuity_family`` returns arbitrarily deep pairs of
 factors, both marching to Zero, whose products all equal a fixed nonzero
@@ -69,8 +70,7 @@ def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
         return found
     ua, va = a.u, a.v
     for f in nbhd.excluded:
-        found.update(_solve_left(ua, va, f.u, f.v))
-        found.update((q, p) for p, q in _solve_left(va, ua, f.v, f.u))
+        found.update(_solve_left(ua, va, f.u, f.v), [(q, p) for p, q in _solve_left(va, ua, f.v, f.u)])
     return found
 
 
@@ -78,7 +78,7 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
     """V such that a*x and x*a land in the given neighborhood for every
     x in V: drop every solution of a*x = f or x*a = f with f excluded.
 
-    Each excluded f adds at most |a| + 2 solutions per side, found by the
+    Each excluded f adds at most |a| + 1 solutions per side, found by the
     closed-form one-sided solver in O(|a|) splits, so the shrink costs
     O(|excluded| * |a|) and the result stays that small.  The solutions
     use only letters of a and f, so the countable alphabet works too.
@@ -100,9 +100,10 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
 
     A counterexample has a*x = f or x*a = f for an excluded f, so it is
     one of the bare pairs the one-sided solver returns for those
-    equations.  Those pairs are re-solved here, not taken from a shrink;
-    the ones within the radius that ``shrunk`` keeps are the only
-    candidates, and each is checked with ``*``.  No ball is built, so
+    equations.  Those pairs are re-solved here, not taken from a shrink,
+    and filtered as bare pairs: the ones ``shrunk`` excludes and the ones
+    beyond the radius are dropped.  Only the survivors become
+    ``Element``s, and each is checked with ``*``.  No ball is built, so
     the cost is that of the solves at any radius, over any alphabet.  The
     independent check is the ball scan the test suite keeps as its oracle.
 
@@ -113,9 +114,12 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if shrunk.alphabet != nbhd.alphabet:
         raise AlphabetMismatch(f"{shrunk.alphabet} vs {nbhd.alphabet}")
-    points = (Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd) if len(u) + len(v) <= radius)
+    # candidates are nonzero and over the shared alphabet, so x in shrunk
+    # exactly when x's bare pair is not excluded from it
+    candidates = _preimages(a, nbhd) - {(f.u, f.v) for f in shrunk.excluded}
+    points = [Element(a.alphabet, u, v) for u, v in candidates if len(u) + len(v) <= radius]
     bad: List[tuple] = []
-    for x in sorted((x for x in points if x in shrunk), key=enumeration_key):
+    for x in sorted(points, key=enumeration_key):
         lhs = a * x
         if lhs not in nbhd:
             bad.append((x, "left", lhs))

@@ -1,5 +1,6 @@
 """R-classes, the solver and its oracle, balls, the stack action."""
 
+from itertools import chain
 from itertools import product as iproduct
 
 import pytest
@@ -29,6 +30,8 @@ from polymon import (
     solve_axb,
     zero,
 )
+from polymon.core import elements_of_size
+from polymon.green import _solve_left
 
 from helpers import solve_axb_enumerate
 
@@ -133,7 +136,27 @@ def assert_solution_set(a, b, c, sols):
     for x in sols:
         assert (a * x) * b == c
         assert x.letters() <= letters
-    assert len(sols) <= (len(a.v) + 2) * (len(b.u) + 2)
+    assert len(sols) <= (len(a.v) + 1) * (len(b.u) + 1)
+
+
+def test_solution_counts_stay_within_their_bounds():
+    # a*y = c has at most |v_a| + 1 solutions: one per split of v_a when
+    # u_c = u_a, or the one y = (s + v_a, v_c) when u_c = s + u_a, s nonempty
+    b3 = ball(AB2, 3).nonzero
+    reached = 0
+    for a in b3:
+        for c in b3:
+            n = len(_solve_left(a.u, a.v, c.u, c.v))
+            assert n <= len(a.v) + 1, (a, c)
+            reached += n == len(a.v) + 1
+    assert reached == 173
+    b2 = ball(AB2, 2).nonzero
+    reached = 0
+    for a, b, c in iproduct(b2, repeat=3):
+        n = len(solve_axb(a, b, c))
+        assert n <= (len(a.v) + 1) * (len(b.u) + 1), (a, b, c)
+        reached += n == (len(a.v) + 1) * (len(b.u) + 1)
+    assert reached == 85
 
 
 def test_solver_matches_oracle_on_radius_one_lambda_three():
@@ -190,6 +213,17 @@ def test_ball_shapes():
         ball(Alphabet(None), 1)
     with pytest.raises(ValueError):
         ball(AB2, -1)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_ball_matches_its_oracle(lam):
+    # elements_of_size streams one size at a time; ball pairs per-length word tables
+    ab = Alphabet(lam)
+    for n in range(5):
+        oracle = (zero(ab), *chain.from_iterable(elements_of_size(ab, range(lam), t) for t in range(n + 1)))
+        got = ball(ab, n)
+        assert got.elements == oracle
+        assert len(got) == ball_cardinality(lam, n)
 
 
 @pytest.mark.parametrize("lam", [10**9, 10**30])

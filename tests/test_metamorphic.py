@@ -1,5 +1,6 @@
 """Metamorphic checks of the closed forms behind ``reduce``, ``act``, ``*``,
-``solve_axb`` and ``rclass_key``.
+``solve_axb``, ``rclass_key``, ``shrink_neighborhood`` and
+``certify_translations``.
 
 Each test transforms its input in a way whose effect on the answer is
 known, and compares the two answers; no oracle is needed.  Inputs are
@@ -8,7 +9,8 @@ letters up to g1000.  A few letters from that range make up each word,
 and some words are a normal form padded with cancelling pairs, so both
 Zero and nonzero answers occur.  Solver triples are planted: c = a*x*b
 is built nonzero from a known solution x, with elements of size up to 30
-over three letters.
+over three letters.  So are the excluded points of a neighborhood:
+most are a*x or x*a for a known x, so the shrink has points to drop.
 """
 
 import random
@@ -16,7 +18,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymon import Alphabet, Element, act, rclass_key, reduce, solve_axb, zero
+from polymon import (
+    Alphabet,
+    Element,
+    act,
+    certify_translations,
+    cofinite,
+    rclass_key,
+    reduce,
+    shrink_neighborhood,
+    solve_axb,
+    zero,
+)
 
 INF = Alphabet(None)
 AB3 = Alphabet(3)
@@ -121,20 +134,23 @@ def test_reduce_of_the_mirrored_word_is_the_inverse(seed, n):
     assert reduce(INF, [-s for s in reversed(w)]) == reduce(INF, w).inverse()
 
 
+def short_word(rng: random.Random, pool: list, k: int = 6) -> tuple:
+    return positive_word(rng, pool, rng.randint(0, k))
+
+
+def overlapping(rng: random.Random, pool: list, w: tuple) -> tuple:
+    """w with a short head put in front, or a suffix of w: either way one
+    of w and the result is a suffix of the other, so they cancel."""
+    return short_word(rng, pool) + w if rng.random() < 0.5 else w[rng.randint(0, len(w)):]
+
+
 def planted_triple(rng: random.Random, pool: list):
     """Nonzero a, b, c = a*x*b and the x planted in it: of a.v and x.u,
     one is a suffix of the other, and so of b.u and the second component
     of a*x, so neither junction cancels to Zero."""
-    def word(k: int = 6) -> tuple:
-        return positive_word(rng, pool, rng.randint(0, k))
-
-    def overlapping(w: tuple) -> tuple:
-        # w with a head put in front, or a suffix of w
-        return word() + w if rng.random() < 0.5 else w[rng.randint(0, len(w)):]
-
-    x = Element(INF, word(), word())
-    a = Element(INF, word(), overlapping(x.u))
-    b = Element(INF, overlapping((a * x).v), word())
+    x = Element(INF, short_word(rng, pool), short_word(rng, pool))
+    a = Element(INF, short_word(rng, pool), overlapping(rng, pool, x.u))
+    b = Element(INF, overlapping(rng, pool, (a * x).v), short_word(rng, pool))
     return a, b, a * x * b, x
 
 
@@ -154,3 +170,63 @@ def test_solver_answers_inverted_and_renamed_triples(seed):
     assert set(renamed) == {rename(perm, s) for s in solutions}
     for e in (a, b, c, *solutions):
         assert rclass_key(rename(perm, e)) == rename(perm, rclass_key(e))
+
+
+def planted_neighborhood(rng: random.Random, pool: list):
+    """A translation a of size up to 20, a neighborhood U of Zero that
+    excludes up to 12 points of size up to 30, the (x, side) whose
+    product with a U excludes, and a shrunk set S made of part of the
+    real shrink's points, so S keeps some preimages."""
+    a = Element(INF, short_word(rng, pool, 10), short_word(rng, pool, 10))
+    planted, excluded = [], set()
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.randrange(3)
+        if kind == 0:  # a*x, nonzero since x.u and a.v overlap
+            x = Element(INF, overlapping(rng, pool, a.v), short_word(rng, pool, 8))
+            planted.append((x, "left"))
+            excluded.add(a * x)
+        elif kind == 1:  # x*a, nonzero since x.v and a.u overlap
+            x = Element(INF, short_word(rng, pool, 8), overlapping(rng, pool, a.u))
+            planted.append((x, "right"))
+            excluded.add(x * a)
+        else:
+            excluded.add(Element(INF, short_word(rng, pool, 15), short_word(rng, pool, 15)))
+    U = cofinite(INF, excluded)
+    S = cofinite(INF, [f for f in shrink_neighborhood(a, U).excluded if rng.random() < 0.5])
+    return a, U, planted, S
+
+
+def inverse_nbhd(U):
+    return cofinite(U.alphabet, [f.inverse() for f in U.excluded])
+
+
+def rename_nbhd(perm: list, U):
+    return cofinite(U.alphabet, [rename(perm, f) for f in U.excluded])
+
+
+@settings(deadline=None)
+@given(seed=seeds)
+def test_translations_answer_inverted_and_renamed_neighborhoods(seed):
+    rng = random.Random(seed)
+    perm, pool = permutation(rng), letter_pool(rng)
+    a, U, planted, S = planted_neighborhood(rng, pool)
+    radius = rng.randint(0, 40)
+    V = shrink_neighborhood(a, U)
+    bad = certify_translations(a, U, S, radius)
+    for x, side, p in bad:
+        assert x in S and x.size <= radius and p not in U
+        assert p == (a * x if side == "left" else x * a)
+    # every planted x that S keeps within the radius is a counterexample
+    for x, side in planted:
+        if x.size <= radius and x in S:
+            assert (x, side, a * x if side == "left" else x * a) in bad
+
+    # inversion swaps a*x = f for x'*a' = f': left and right trade places
+    assert shrink_neighborhood(a.inverse(), inverse_nbhd(U)) == inverse_nbhd(V)
+    other = {"left": "right", "right": "left"}
+    inverted = certify_translations(a.inverse(), inverse_nbhd(U), inverse_nbhd(S), radius)
+    assert set(inverted) == {(x.inverse(), other[side], p.inverse()) for x, side, p in bad}
+
+    assert shrink_neighborhood(rename(perm, a), rename_nbhd(perm, U)) == rename_nbhd(perm, V)
+    renamed = certify_translations(rename(perm, a), rename_nbhd(perm, U), rename_nbhd(perm, S), radius)
+    assert set(renamed) == {(rename(perm, x), side, rename(perm, p)) for x, side, p in bad}
