@@ -5,10 +5,12 @@ derivation of (0, 1): identifying any two distinct elements collapses
 the whole monoid.  Not finding one within the depth budget is a legal
 outcome, reported as None, never as an error.  A derivation is a chain:
 each pair follows from the one before by a left or right multiplication
-or a swap.  The search runs on bare normal forms through ``core.mul_nf``;
-the derivation it returns, and ``verify_derivation`` replaying it, use
-``Element``.  The test suite keeps the breadth-first search that
-generates every level, over ``Element`` pairs, as its oracle.
+or a swap.  The search runs on bare normal forms through ``core.mul_nf``,
+and the derivation it returns holds ``Element``s; ``verify_derivation``
+replays it on their bare pairs, through ``mul_nf`` too.  The test suite
+keeps the breadth-first search that generates every level, over
+``Element`` pairs, and the replay that multiplies ``Element``s, as
+oracles.
 """
 
 from __future__ import annotations
@@ -63,7 +65,13 @@ class Derivation(_Value):
 
 def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = None) -> None:
     """Replay a derivation with the closed-form product, each step from the
-    one before; raise ValueError on the first step its rule does not give."""
+    one before; raise ValueError on the first step its rule does not give.
+
+    A multiplication is replayed on bare pairs: the multiplier's alphabet
+    is checked against the pair's as ``Element.__mul__`` checks it, the
+    expected pair is computed with ``mul_nf``, and it is compared with the
+    step's ``(u, v)`` pairs and alphabets as ``==`` compares them.  No
+    ``Element`` is built for an expected product."""
     if not d.steps:
         raise ValueError("empty derivation")
     first = d.steps[0]
@@ -76,28 +84,41 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
         px, py = d.steps[i - 1].pair
         m = step.by
         if step.rule == SYMMETRY:
-            expected = (py, px)
+            ok = step.pair == (py, px)
         elif step.rule not in (LEFT_MULTIPLY, RIGHT_MULTIPLY):
             raise ValueError(f"step {i}: unknown rule {step.rule!r}")
         elif m is None:
-            expected = None  # a multiplication without its multiplier never replays
+            ok = False  # a multiplication without its multiplier never replays
         else:
-            try:
-                expected = (m * px, m * py) if step.rule == LEFT_MULTIPLY else (px * m, py * m)
-            except AlphabetMismatch:
-                expected = None  # nor does a product across alphabets
-        if expected is None or step.pair != expected:
+            ab, (sx, sy) = m.alphabet, step.pair
+            if step.rule == LEFT_MULTIPLY:
+                ex, ey = mul_nf(m.u, m.v, px.u, px.v), mul_nf(m.u, m.v, py.u, py.v)
+            else:
+                ex, ey = mul_nf(px.u, px.v, m.u, m.v), mul_nf(py.u, py.v, m.u, m.v)
+            # nor does a product across alphabets
+            ok = _over(px, ab) and _over(py, ab) and _is(sx, ab, ex) and _is(sy, ab, ey)
+        if not ok:
             raise ValueError(f"step {i}: {step.rule} does not replay")
     ab = d.steps[0].pair[0].alphabet
     if d.final_pair != (zero(ab), one(ab)):
         raise ValueError("derivation does not end at (0, 1)")
 
 
+def _over(e: Element, alphabet: Alphabet) -> bool:
+    """Whether e is over alphabet, identity first, as ``Element`` checks it."""
+    return e.alphabet is alphabet or e.alphabet == alphabet
+
+
+def _is(e: Element, alphabet: Alphabet, nf: NormalForm) -> bool:
+    """Whether e == Element(alphabet, *nf), without building the latter."""
+    return (e.u, e.v) == nf and _over(e, alphabet)
+
+
 def _letters(a: Element, b: Element) -> Tuple[int, ...]:
     """The letters of the collapse search's multipliers, ascending: those
     occurring in a, b plus one fresh letter (the smallest non-occurring
     index, when the alphabet has one)."""
-    occurring = set(a.letters() | b.letters())
+    occurring = {*(a.u or ()), *(a.v or ()), *(b.u or ()), *(b.v or ())}
     fresh = 0
     while fresh in occurring:
         fresh += 1
@@ -190,8 +211,13 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     ((), q), or if it is (1, 0).  By the closed form of ``*``, m·y is
     nonzero only when m's v and y's u are suffix-comparable, and then
     has an empty component only when m's u or y's v is empty.  And
-    m·x = 1 forces m = ((), xu) with x = (xu, ()).  Right moves mirror
-    this.  The swap never gives the first hit: if (y, x) has a last
+    m·x = 1 forces m = ((), xu) with x = (xu, ()).  Every pool member
+    has size 1 or 2, and ``_last_move`` accepts only a Zero y-side or a
+    y-side (p, ()) or ((), q) whose multiplier is in the pool; so a child
+    whose y-side is nonzero with |u| + |v| > 2 is no hit, and the scan
+    computes m·x only when m·y is Zero or that small.  The children it
+    skips hold no hit, so it finds the same first hit.  Right moves
+    mirror this.  The swap never gives the first hit: if (y, x) has a last
     move, a left or right move by that multiplier takes (x, y) to
     (1, 0), earlier in move order.  A state of depth d is scanned only
     when d + 2 <= max_depth, so level d + 1 is generated only while
@@ -273,17 +299,25 @@ def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
 def _scan(state: State, pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
     """The first child of state that is a hit, in move order, as (state,
     move, child, last move); None when there is none.  Only the moves
-    ``_solved`` finds can give it; the swap never does."""
+    ``_solved`` finds can give it; the swap never does.  A child's y-side
+    comes first: unless it is Zero or has size at most 2 the child is no
+    hit, and its x-side is never computed."""
     (xu, xv), (yu, yv) = state
     for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
         p, q = pool[i]
-        child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
+        y = mul_nf(p, q, yu, yv)
+        if y[0] is not None and len(y[0]) + len(y[1]) > 2:
+            continue
+        child = (mul_nf(p, q, xu, xv), y)
         last = _last_move(child, index)
         if last is not None:
             return state, (LEFT_MULTIPLY, pool[i]), child, last
     for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
         p, q = pool[i]
-        child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
+        y = mul_nf(yu, yv, p, q)
+        if y[0] is not None and len(y[0]) + len(y[1]) > 2:
+            continue
+        child = (mul_nf(xu, xv, p, q), y)
         last = _last_move(child, index)
         if last is not None:
             return state, (RIGHT_MULTIPLY, pool[i]), child, last

@@ -219,6 +219,40 @@ def _chain_elements(parent: dict, seed: Tuple[Element, Element], final: Tuple[El
     return Derivation(tuple(reversed(hops)))
 
 
+def verify_derivation_elements(d: Derivation, seed: Optional[Tuple[Element, Element]] = None) -> None:
+    """Oracle for ``verify_derivation``: the same replay, each expected
+    pair built as ``Element``s with ``Element * Element`` and compared
+    with ``==``.  It raises ValueError with the same text on the same
+    first bad step."""
+    if not d.steps:
+        raise ValueError("empty derivation")
+    first = d.steps[0]
+    if first.rule != SEED:
+        raise ValueError(f"step 0 must be the seed, got {first.rule}")
+    if seed is not None and first.pair != seed:
+        raise ValueError(f"seed pair {first.pair} differs from expected {seed}")
+    for i in range(1, len(d.steps)):
+        step = d.steps[i]
+        px, py = d.steps[i - 1].pair
+        m = step.by
+        if step.rule == SYMMETRY:
+            expected = (py, px)
+        elif step.rule not in (LEFT_MULTIPLY, RIGHT_MULTIPLY):
+            raise ValueError(f"step {i}: unknown rule {step.rule!r}")
+        elif m is None:
+            expected = None  # a multiplication without its multiplier never replays
+        else:
+            try:
+                expected = (m * px, m * py) if step.rule == LEFT_MULTIPLY else (px * m, py * m)
+            except AlphabetMismatch:
+                expected = None  # nor does a product across alphabets
+        if expected is None or step.pair != expected:
+            raise ValueError(f"step {i}: {step.rule} does not replay")
+    ab = d.steps[0].pair[0].alphabet
+    if d.final_pair != (zero(ab), one(ab)):
+        raise ValueError("derivation does not end at (0, 1)")
+
+
 def evaluate_elements(tree: tuple, alphabet: Alphabet) -> Element:
     """Oracle for ``evaluate(parse(text))``: fold the expression tree of
     the text bottom-up, one ``Element`` per leaf and per partial product.

@@ -1,6 +1,6 @@
 """Metamorphic checks of the closed forms behind ``reduce``, ``act``, ``*``,
 ``solve_axb``, ``rclass_key``, ``shrink_neighborhood`` and
-``certify_translations``.
+``certify_translations``, and of the depth ``collapse_witness`` finds.
 
 Each test transforms its input in a way whose effect on the answer is
 known, and compares the two answers; no oracle is needed.  Inputs are
@@ -11,6 +11,8 @@ Zero and nonzero answers occur.  Solver triples are planted: c = a*x*b
 is built nonzero from a known solution x, with elements of size up to 30
 over three letters.  So are the excluded points of a neighborhood:
 most are a*x or x*a for a known x, so the shrink has points to drop.
+Collapse pairs stay small, sizes up to 4 at budgets up to 5, since the
+search grows with its budget.
 """
 
 import random
@@ -24,10 +26,12 @@ from polymon import (
     act,
     certify_translations,
     cofinite,
+    collapse_witness,
     rclass_key,
     reduce,
     shrink_neighborhood,
     solve_axb,
+    verify_derivation,
     zero,
 )
 
@@ -230,3 +234,47 @@ def test_translations_answer_inverted_and_renamed_neighborhoods(seed):
     assert shrink_neighborhood(rename(perm, a), rename_nbhd(perm, U)) == rename_nbhd(perm, V)
     renamed = certify_translations(rename(perm, a), rename_nbhd(perm, U), rename_nbhd(perm, S), radius)
     assert set(renamed) == {(rename(perm, x), side, rename(perm, p)) for x, side, p in bad}
+
+
+def collapse_pair(rng: random.Random):
+    """A permutation of the letters of λ = 2, 3 or ∞ (g0-g1000 for ∞), and
+    two distinct elements over that alphabet of size up to 4, over one to
+    three of its letters; Zero now and then."""
+    lam = rng.choice((2, 3, None))
+    ab = Alphabet(lam)
+    if lam is None:
+        perm = permutation(rng)
+    else:
+        perm = list(range(lam))
+        rng.shuffle(perm)
+    pool = rng.sample(range(len(perm)), rng.randint(1, min(3, len(perm))))
+
+    def draw() -> Element:
+        if rng.random() < 0.05:
+            return zero(ab)
+        w = positive_word(rng, pool, rng.randint(0, 4))
+        cut = rng.randint(0, len(w))
+        return Element(ab, w[:cut], w[cut:])
+
+    x, y = draw(), draw()
+    while y == x:
+        y = draw()
+    return perm, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds)
+def test_collapse_depth_survives_inversion_and_renaming(seed):
+    # the pool is closed under inversion, which trades left moves for
+    # right ones, and renaming maps the pool's letters onto the renamed
+    # pair's; move order can differ, so only found-ness and depth compare
+    rng = random.Random(seed)
+    perm, x, y = collapse_pair(rng)
+    budget = rng.randint(1, 5)
+    depths = []
+    for a, b in ((x, y), (x.inverse(), y.inverse()), (rename(perm, x), rename(perm, y))):
+        d = collapse_witness(a, b, budget)
+        if d is not None:
+            verify_derivation(d, (a, b))
+        depths.append(None if d is None else d.depth)
+    assert depths[1] == depths[0] and depths[2] == depths[0]

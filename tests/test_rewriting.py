@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import collapse_witness_elements, elements_st, multiplier_pool, reduce_stepwise
+from helpers import (
+    collapse_witness_elements,
+    elements_st,
+    multiplier_pool,
+    reduce_stepwise,
+    verify_derivation_elements,
+)
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -357,7 +363,8 @@ def test_collapse_matches_element_search_on_radius_2_sample():
 def test_collapse_stops_inside_the_level(monkeypatch):
     # (1, ab) over lambda = 3 has a depth-3 derivation through the first
     # level-1 state; with cold tables, generating all of level 1 before
-    # scanning it takes 272 products, stopping at that state's hit 142
+    # scanning it takes 272 products, stopping at that state's hit 142,
+    # and skipping the x-side of children whose y-side cannot finish 103
     calls = []
 
     def counting(*args):
@@ -370,6 +377,27 @@ def test_collapse_stops_inside_the_level(monkeypatch):
     d = collapse_witness(one(ab3), evaluate(parse("ab", ab3), ab3), 8)
     assert d.depth == 3
     assert len(calls) < 200
+
+
+def test_collapse_scan_multiplies_x_only_when_y_can_finish(monkeypatch):
+    # every ordered pair of ball(3, 2) at depth 8, on warm tables: the
+    # scan skips a child whose y-side is nonzero of size above 2 before
+    # computing its x-side.  Computing both sides of every scanned child
+    # took 32 159 products; skipping takes 21 673
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mul_nf(*args)
+
+    elems = list(ball(Alphabet(3), 2))
+    seeds = [(x, y) for x in elems for y in elems if x != y]
+    assert len(seeds) == 1190
+    want = [collapse_witness(x, y, 8) for x, y in seeds]
+    monkeypatch.setattr("polymon.collapse.mul_nf", counting)
+    got = [collapse_witness(x, y, 8) for x, y in seeds]
+    assert got == want
+    assert len(calls) <= 22_000
 
 
 def test_multiplier_pool_order_and_size():
@@ -500,3 +528,61 @@ def test_replay_of_a_true_chain_checks_the_target():
     with pytest.raises(ValueError) as exc:
         verify_derivation(_forge(SYMMETRY, (A, ZERO)))
     assert str(exc.value) == "derivation does not end at (0, 1)"
+
+
+def _forgeries(d, pool, other):
+    """d, d without its last step, and copies of d with one step forged:
+    its rule swapped; its multiplier replaced by another pool member, by
+    None, or by one over an equal or another alphabet; one component of
+    its pair replaced."""
+    steps = d.steps
+    yield d
+    if len(steps) > 1:
+        yield Derivation(steps[:-1])
+    for i, s in enumerate(steps):
+        def put(rule=s.rule, pair=s.pair, by=s.by):
+            return Derivation(steps[:i] + (DerivationStep(rule, pair, by),) + steps[i + 1:])
+
+        for rule in (SEED, LEFT_MULTIPLY, RIGHT_MULTIPLY, SYMMETRY, "transitivity"):
+            if rule != s.rule:
+                yield put(rule=rule)
+        bare = ((), (0,)) if s.by is None else (s.by.u, s.by.v)
+        for by in [m for m in pool if m != s.by][:3] + [None]:
+            yield put(by=by)
+        for ab in (Alphabet(s.pair[0].alphabet.size), other):
+            yield put(by=Element(ab, *bare))
+        for j in (0, 1):
+            x = s.pair[j]
+            for e in (s.pair[1 - j], zero(x.alphabet), one(x.alphabet), Element(other, x.u, x.v)):
+                yield put(pair=(e, s.pair[1]) if j == 0 else (s.pair[0], e))
+
+
+REPLAY_FAILURES = ("step 0 must be the seed", "seed pair", "unknown rule", "left-multiply does not replay",
+                   "right-multiply does not replay", "symmetry does not replay", "does not end at (0, 1)")
+
+
+def _replay_outcome(verify, d, seed=None):
+    try:
+        verify(d, seed)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("lam, radius", [(2, 2), (3, 1)])
+def test_replay_agrees_with_the_element_replay(lam, radius):
+    # every derivation the search returns on the ordered pairs of the
+    # ball at depth 8, and forged copies of each, replayed on bare pairs
+    # and with ``Element`` products: both pass, or both raise the same text
+    other = Alphabet(5)
+    elems = list(ball(Alphabet(lam), radius))
+    kinds = set()
+    for x, y in [(x, y) for x in elems for y in elems if x != y]:
+        d = collapse_witness(x, y, 8)
+        cases = [(d, (x, y)), (d, (y, x))] + [(f, None) for f in _forgeries(d, multiplier_pool(x, y), other)]
+        for forged, seed in cases:
+            got = _replay_outcome(verify_derivation, forged, seed)
+            assert got == _replay_outcome(verify_derivation_elements, forged, seed), (forged, seed)
+            kinds.add(got and next((k for k in REPLAY_FAILURES if k in got), got))
+    # passing occurs, and so does each way of failing
+    assert kinds == {None, *REPLAY_FAILURES}
