@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="polymon",
                                      description="Exact computation in polycyclic inverse monoids.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add(name: str, run, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=summary)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import Alphabet, Element, NormalForm, Word, _set, _Value, elements_of_size, mul_nf, one, zero
+from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, normal_forms, one, zero
 from .errors import AlphabetMismatch, EqualPair
 
 SEED = "seed"
@@ -134,8 +134,9 @@ Pool = Tuple[NormalForm, ...]
 def _tables(letters: Tuple[int, ...]) -> Tuple[Pool, Dict[NormalForm, int], dict]:
     """The search's tables for one letter tuple, built on its first search
     and shared by every later one: the pool of nonzero multipliers of size
-    1 and 2 over those letters as bare pairs, in enumeration order; its
-    index, member -> position; and the ``_solved`` memo.
+    1 and 2 over those letters, the bare pairs ``core.normal_forms`` lists
+    after the identity, in enumeration order; its index, member ->
+    position; and the ``_solved`` memo.
 
     No search writes to the pool or the index, and ``_solved`` only adds
     lists it never changes afterwards.  The cache holds at most 32 letter
@@ -143,7 +144,7 @@ def _tables(letters: Tuple[int, ...]) -> Tuple[Pool, Dict[NormalForm, int], dict
     most 4·(1 + k + k²) lists, one per side, freedom and last two letters
     of a component (every state's letters are the pool's), plus two
     empty ones for Zero."""
-    pool = tuple((m.u, m.v) for total in (1, 2) for m in elements_of_size(Alphabet(None), letters, total))
+    pool = tuple(normal_forms(letters, 2)[1:])
     return pool, {m: i for i, m in enumerate(pool)}, {}
 
 

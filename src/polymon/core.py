@@ -24,13 +24,14 @@ small balls and on large random sweeps.
 
 Enumeration order, used everywhere fixtures need to be reproducible:
 Zero first, then nonzero pairs ordered by (|u| + |v|, |u|, u, v) with
-letters compared by index.
+letters compared by index.  ``enumeration_key`` sorts by it, and
+``normal_forms`` lists the nonzero pairs up to a size in it.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import AlphabetMismatch, TooFewGenerators, UnknownLetter, ZeroArgument
 
@@ -205,12 +206,6 @@ class Element(_Value):
             return 0
         return len(self.u) + len(self.v)
 
-    def letters(self) -> frozenset:
-        """Set of letter indices occurring in the normal form."""
-        if self.u is None:
-            return frozenset()
-        return frozenset(self.u) | frozenset(self.v)
-
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":
@@ -296,10 +291,12 @@ def enumeration_key(x: Element) -> tuple:
     return (1, x.size, len(x.u), x.u, x.v)
 
 
-def elements_of_size(alphabet: Alphabet, letters: Sequence[int], total: int) -> Iterator[Element]:
-    """Nonzero elements with |u| + |v| == total over the given letters,
-    in enumeration order (|u| ascending, then u, v lexicographic)."""
-    for ulen in range(total + 1):
-        for u in product(letters, repeat=ulen):
-            for v in product(letters, repeat=total - ulen):
-                yield Element(alphabet, u, v)
+def normal_forms(letters: Sequence[int], n: int) -> List[NormalForm]:
+    """Every nonzero normal form with |u| + |v| <= n over the given
+    letters, as bare pairs in enumeration order: the one listing behind
+    ``green.ball`` and the collapse search's multiplier pool.  The words
+    of each length are listed once and paired by (|u| + |v|, |u|, u, v).
+    The empty word needs no letters, so n = 0 never reads them."""
+    words = [list(product(letters, repeat=k)) if k else [()] for k in range(n + 1)]
+    return [(u, v) for total in range(n + 1) for ulen in range(total + 1)
+            for u in words[ulen] for v in words[total - ulen]]

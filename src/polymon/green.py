@@ -12,8 +12,7 @@ top at the right end).
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from .core import (
     Alphabet,
@@ -24,6 +23,7 @@ from .core import (
     enumeration_key,
     letter_name,
     mul_nf,
+    normal_forms,
     zero,
 )
 from .errors import (
@@ -67,23 +67,16 @@ class Ball(_Value):
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def nonzero(self) -> Tuple[Element, ...]:
-        return self.elements[1:]
-
 
 def ball(alphabet: Alphabet, n: int) -> Ball:
-    """Enumerate the radius-n ball; finite alphabets only.  The words of
-    each length k <= n are listed once and paired by (|u| + |v|, |u|, u,
-    v), the order ``core.elements_of_size`` yields size by size."""
+    """Enumerate the radius-n ball; finite alphabets only: Zero, then
+    ``core.normal_forms`` over all letters as ``Element``s.  Radius 0
+    lists no letter, so it costs nothing over a huge alphabet."""
     if alphabet.size is None:
         raise InfiniteAlphabet("balls are finite only over finite alphabets")
     if n < 0:
         raise ValueError(f"radius must be nonnegative, got {n}")
-    # the empty word needs no letters, so radius 0 costs nothing over a huge alphabet
-    words = [list(product(range(alphabet.size), repeat=k)) if k else [()] for k in range(n + 1)]
-    members = [Element(alphabet, u, v) for total in range(n + 1) for ulen in range(total + 1)
-               for u in words[ulen] for v in words[total - ulen]]
+    members = [Element(alphabet, u, v) for u, v in normal_forms(range(alphabet.size), n)]
     return Ball(alphabet, n, (zero(alphabet), *members))
 
 

@@ -50,9 +50,6 @@ class CofiniteNbhd(_Value):
     def excluded_sorted(self) -> List[Element]:
         return sorted(self.excluded, key=enumeration_key)
 
-    def to_json(self) -> dict:
-        return {"excluded": [f.to_json() for f in self.excluded_sorted()]}
-
 
 def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNbhd:
     return CofiniteNbhd(alphabet, excluded)

@@ -7,7 +7,8 @@ import random
 import subprocess
 import sys
 from collections import deque
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import product
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from polymon import (
     solve_axb,
     zero,
 )
-from polymon.core import elements_of_size
 from polymon.collapse import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
 
 
@@ -60,6 +60,21 @@ def random_element(rng: random.Random, ab: Alphabet, lam: int, max_len: int = 4,
     return Element(ab, u, v)
 
 
+def elements_of_size(alphabet: Alphabet, letters: Sequence[int], total: int) -> Iterator[Element]:
+    """Nonzero elements with |u| + |v| == total over the given letters,
+    in enumeration order (|u| ascending, then u, v lexicographic).  The
+    suite's reference for ``core.normal_forms``, written apart from it."""
+    for ulen in range(total + 1):
+        for u in product(letters, repeat=ulen):
+            for v in product(letters, repeat=total - ulen):
+                yield Element(alphabet, u, v)
+
+
+def letters_of(*xs: Element) -> frozenset:
+    """Set of letter indices occurring in the normal forms of xs; Zero has none."""
+    return frozenset(i for x in xs if x.u is not None for i in x.u + x.v)
+
+
 def solve_axb_enumerate(a: Element, b: Element, c: Element) -> list:
     """Brute-force oracle for ``solve_axb``: every nonzero x with
     a*x*b = c, in enumeration order, found by direct multiplication.
@@ -70,7 +85,7 @@ def solve_axb_enumerate(a: Element, b: Element, c: Element) -> list:
     must come back empty, so a wrong bound fails loudly instead of
     silently truncating the answer.
     """
-    letters = sorted(a.letters() | b.letters() | c.letters())
+    letters = sorted(letters_of(a, b, c))
     bound = a.size + b.size + c.size
     solutions = []
     for total in range(bound + 3):
@@ -162,7 +177,7 @@ def multiplier_pool(a: Element, b: Element) -> list:
     non-occurring index, when the alphabet has one), in enumeration order
     with Zero first.  Built from ``elements_of_size``, so it shares no code
     with the library search's pool."""
-    letters = a.letters() | b.letters()
+    letters = letters_of(a, b)
     fresh = min(set(range(len(letters) + 1)) - letters)
     if fresh in a.alphabet:
         letters |= {fresh}

@@ -9,7 +9,6 @@ on the path.
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import shlex
@@ -25,10 +24,9 @@ from polymon import cli
 from polymon.cli import MAX_BALL_ELEMENTS, build_parser, main
 
 
-# argparse's top-level usage, which opens every usage error of the top parser
-USAGE = ("usage: polymon [-h]\n"
-         "               {eval,solve,downset,rclass,ball,act,continuity,witness,collapse,export-dot,repl}\n"
-         "               ...\n")
+# argparse's top-level usage, which opens every usage error of the top parser;
+# naming the subcommands COMMAND keeps it one line on every supported Python
+USAGE = "usage: polymon [-h] COMMAND ...\n"
 
 # The CLI's answers, one row per call: (argv, stdin, exit code, stdout,
 # stderr), each compared exactly.  Each group is the test its key names,
@@ -67,7 +65,7 @@ CASES = {
         for text in ("many", "1_0", " 3 ", "+3", "-3", "\u0663")
     ],
     "test_no_subcommand_is_usage_error": [
-        ([], "", 2, "", USAGE + "polymon: error: the following arguments are required: command\n"),
+        ([], "", 2, "", USAGE + "polymon: error: the following arguments are required: COMMAND\n"),
     ],
     "test_syntax_error_exits_2": [
         (["eval", "a^2"], "", 2, "", "syntax error: expected '-1' after '^' (position 1)\n"),
@@ -496,23 +494,39 @@ def test_ball_over_cap_exits_1(capsys, monkeypatch):
     assert run(capsys, "ball", "3")[0] == 1
 
 
-# sha256 of the stdout of every run in test_witness_output_is_pinned, in
-# order; computed while the pairs still went through a container class
-# that multiplied each pair again, so the digest holds that check's result
-WITNESS_SHA256 = "a91ad8e83e36347d1085f7a6ce5073773c229ddad36a527c4b008de431ce880d"
+# witness targets by argv, each with its normal form (u, v)
+WITNESS_TARGETS = {(): ((), ()), ("a'b",): ((0,), (1,)), ("b'a'a",): ((0, 1), (0,)), ("g30",): ((), (30,))}
+
+
+def _witness_stdout(u, v, k: int, fmt: str) -> str:
+    """What `witness` prints for the target (u, v), written from the
+    closed form: pair i is ((u, a^i), (a^i, v)) for i = 1..k."""
+    pairs = [((u, (0,) * i), ((0,) * i, v)) for i in range(1, k + 1)]
+    if fmt == "json":
+        def nf(p):
+            return {"u": list(p[0]), "v": list(p[1])}
+        return json.dumps({"target": nf((u, v)), "pairs": [[nf(x), nf(y)] for x, y in pairs]}) + "\n"
+
+    def name(i):
+        return chr(ord("a") + i) if i < 26 else f"g{i}"
+
+    def text(p):
+        return "".join(name(i) + "'" for i in reversed(p[0])) + "".join(name(i) for i in p[1])
+    return "".join(f"{text(x)} {text(y)}\n" for x, y in pairs)
 
 
 def test_witness_output_is_pinned(capsys):
-    digest = hashlib.sha256()
-    for lam, targets in (("2", ([], ["a'b"], ["b'a'a"])), ("3", ([], ["a'b"], ["b'a'a"])),
-                         ("inf", ([], ["a'b"], ["b'a'a"], ["g30"]))):
+    for lam, targets in (("2", [(), ("a'b",), ("b'a'a",)]), ("3", [(), ("a'b",), ("b'a'a",)]),
+                         ("inf", [(), ("a'b",), ("b'a'a",), ("g30",)])):
         for c in targets:
             for k in ("1", "7", "40"):
                 for fmt in ("text", "json"):
-                    code, out, err = run(capsys, "witness", *c, k, "--lambda", lam, "--format", fmt)
-                    assert (code, err) == (0, "")
-                    digest.update(out.encode())
-    assert digest.hexdigest() == WITNESS_SHA256
+                    argv = ["witness", *c, k, "--lambda", lam, "--format", fmt]
+                    code, out, err = run(capsys, *argv)
+                    assert (code, err) == (0, ""), argv
+                    want = _witness_stdout(*WITNESS_TARGETS[c], int(k), fmt)
+                    # a mismatch names the argv and the index of its first differing line
+                    assert out.splitlines(keepends=True) == want.splitlines(keepends=True), shlex.join(argv)
 
 
 def test_export_dot(tmp_path, capsys):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     collapse_witness_elements,
+    elements_of_size,
     elements_st,
+    letters_of,
     multiplier_pool,
     reduce_stepwise,
     verify_derivation_elements,
@@ -37,7 +39,7 @@ from polymon import (
     verify_derivation,
     zero,
 )
-from polymon.core import elements_of_size, mul_nf
+from polymon.core import mul_nf
 from polymon.collapse import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
@@ -415,10 +417,7 @@ def test_multiplier_pool_fresh_letter_only_when_available():
     ab3 = Alphabet(3)
     x = generator(ab3, 0)
     pool = multiplier_pool(x.inverse() * x, one(ab3))
-    letters = set()
-    for m in pool:
-        letters |= m.letters()
-    assert letters == {0, 1}  # the occurring letter plus one fresh letter
+    assert letters_of(*pool) == {0, 1}  # the occurring letter plus one fresh letter
     assert _tables(_letters(x.inverse() * x, one(ab3)))[0] == tuple((m.u, m.v) for m in pool[2:])
 
 
