@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import Alphabet, Element, NormalForm, Word, _set, _Value, mul_nf, normal_forms, one, zero
+from .core import Alphabet, Element, NormalForm, Word, _Value, mul_nf, normal_forms
 from .errors import AlphabetMismatch, EqualPair
 
 SEED = "seed"
@@ -34,15 +34,19 @@ class DerivationStep(_Value):
     __slots__ = _fields = ("rule", "pair", "by")
 
     def __init__(self, rule: str, pair: Tuple[Element, Element], by: Optional[Element] = None) -> None:
-        _set(self, "rule", rule)
-        _set(self, "pair", pair)
-        _set(self, "by", by)
+        _set_rule(self, rule)
+        _set_pair(self, pair)
+        _set_by(self, by)
 
     def to_json(self) -> dict:
         out: dict = {"rule": self.rule, "pair": [self.pair[0].to_json(), self.pair[1].to_json()]}
         if self.by is not None:
             out["by"] = self.by.to_json()
         return out
+
+
+# DerivationStep's slot writers, as core keeps Element's
+_set_rule, _set_pair, _set_by = (getattr(DerivationStep, n).__set__ for n in DerivationStep._fields)
 
 
 class Derivation(_Value):
@@ -70,8 +74,9 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
     A multiplication is replayed on bare pairs: the multiplier's alphabet
     is checked against the pair's as ``Element.__mul__`` checks it, the
     expected pair is computed with ``mul_nf``, and it is compared with the
-    step's ``(u, v)`` pairs and alphabets as ``==`` compares them.  No
-    ``Element`` is built for an expected product."""
+    step's ``(u, v)`` pairs and alphabets as ``==`` compares them.  The
+    final pair is checked against (0, 1) the same way: no ``Element`` is
+    built for an expected pair."""
     if not d.steps:
         raise ValueError("empty derivation")
     first = d.steps[0]
@@ -99,8 +104,8 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
             ok = _over(px, ab) and _over(py, ab) and _is(sx, ab, ex) and _is(sy, ab, ey)
         if not ok:
             raise ValueError(f"step {i}: {step.rule} does not replay")
-    ab = d.steps[0].pair[0].alphabet
-    if d.final_pair != (zero(ab), one(ab)):
+    ab, (fx, fy) = d.steps[0].pair[0].alphabet, d.final_pair
+    if not (_is(fx, ab, (None, None)) and _is(fy, ab, _ONE)):
         raise ValueError("derivation does not end at (0, 1)")
 
 
@@ -141,9 +146,11 @@ def _tables(letters: Tuple[int, ...]) -> Tuple[Pool, Dict[NormalForm, int], dict
     No search writes to the pool or the index, and ``_solved`` only adds
     lists it never changes afterwards.  The cache holds at most 32 letter
     tuples.  For k letters the pool has 2k + 3k² members, and the memo at
-    most 4·(1 + k + k²) lists, one per side, freedom and last two letters
-    of a component (every state's letters are the pool's), plus two
-    empty ones for Zero."""
+    most 6·(1 + k + 3k²) + 2 lists: per side, one for each word of length
+    at most 4 by its last two letters and length (1 + k + 3k² of them, as
+    every state's letters are the pool's) and each length 0-2 of the
+    other component, plus one empty list per side for Zero and every
+    longer y."""
     pool = tuple(normal_forms(letters, 2)[1:])
     return pool, {m: i for i, m in enumerate(pool)}, {}
 
@@ -208,21 +215,21 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
        when it and its ancestors were discovered.  The states after it
        were never used, so they are never generated.
     The scan tries only the moves that can give a hit.  The child
-    (m·x, m·y) of a left move is a hit only if m·y is (p, ()) or
-    ((), q), or if it is (1, 0).  By the closed form of ``*``, m·y is
-    nonzero only when m's v and y's u are suffix-comparable, and then
-    has an empty component only when m's u or y's v is empty.  And
-    m·x = 1 forces m = ((), xu) with x = (xu, ()).  Every pool member
-    has size 1 or 2, and ``_last_move`` accepts only a Zero y-side or a
-    y-side (p, ()) or ((), q) whose multiplier is in the pool; so a child
-    whose y-side is nonzero with |u| + |v| > 2 is no hit, and the scan
-    computes m·x only when m·y is Zero or that small.  The children it
-    skips hold no hit, so it finds the same first hit.  Right moves
-    mirror this.  The swap never gives the first hit: if (y, x) has a last
-    move, a left or right move by that multiplier takes (x, y) to
-    (1, 0), earlier in move order.  A state of depth d is scanned only
-    when d + 2 <= max_depth, so level d + 1 is generated only while
-    d + 3 <= max_depth.
+    (m·x, m·y) of a left move is a hit only if it is (1, 0), or if m·y
+    is (p, ()) or ((), q) with p or q of length 1 or 2: ``_last_move``
+    accepts no other y-side, since every pool member has size 1 or 2.
+    m·x = 1 forces m = ((), xu) with x = (xu, ()); that one member is
+    tried whatever m·y is.  For every other member, whether m·y has that
+    shape depends only on the lengths and last letters ``_solved`` keys
+    on, by the closed form of ``*``, and ``_solved`` lists exactly the
+    members for which it has.  So the scan computes the children of the
+    listed moves only, and ``_last_move`` decides each.  The children it
+    skips hold no hit, so it finds the same first hit in scan order, and
+    the same derivation.  Right moves mirror this.  The swap never gives
+    the first hit: if (y, x) has a last move, a left or right move by
+    that multiplier takes (x, y) to (1, 0), earlier in move order.  A
+    state of depth d is scanned only when d + 2 <= max_depth, so level
+    d + 1 is generated only while d + 3 <= max_depth.
 
     The search runs on bare normal forms, the (u, v) of ``Element``'s
     fields with (None, None) for Zero, and multiplies with ``mul_nf``;
@@ -275,50 +282,64 @@ def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
 
 
 def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
-            word: Optional[Word], free: bool, extra: Optional[NormalForm]) -> List[int]:
-    """Pool indices, ascending, of the members m whose component s =
-    m[side] is suffix-comparable with word, that is ((), s) * (word, ())
-    is not Zero, (None, None), and whose other component is empty unless
-    free; plus extra's.  Zero's component None has no such member.
+            word: Optional[Word], other: Optional[Word], extra: Optional[NormalForm]) -> List[int]:
+    """Pool indices, ascending, of the members m whose child can finish:
+    the product of m with y = (word, other) on side (m * y for side 1,
+    y * m for side 0) is nonzero and has one empty component and the other
+    of length 1 or 2; plus extra's.  Zero's word None has no such member.
 
-    Members have size at most 2, so word[-2:] decides which, and the
-    cache is keyed on it.  Every search over the same letters shares the
-    cached lists, so they are only read; adding extra makes a new list.
-    Lists, not tuples: freed tuples of a dozen
-    different lengths would pile up in the interpreter's tuple free lists."""
-    key = None if word is None else word[-2:]
-    got = cache.get((side, key, free))
+    Let s = m[side], c = |s|, o = |m[1 - side]|, w = |word| and t =
+    |other|.  The product is nonzero exactly when s and word are
+    suffix-comparable, ((), s) * (word, ()) not Zero, and then its
+    component lengths are {o, c - w + t} if c >= w and {w - c + o, t}
+    otherwise.  Members have size at most 2, so word[-2:] decides
+    comparability, and no member qualifies once w >= 5 or t >= 3.  The
+    cache is keyed on side, word[-2:], w and t, and a y with w >= 5 or
+    t >= 3 shares the empty list of Zero's key, side.  Every search over
+    the same letters shares the cached lists, so they are only read;
+    adding extra makes a new list.  Lists, not tuples: freed tuples of a
+    dozen different lengths would pile up in the interpreter's tuple
+    free lists."""
+    if word is None or len(word) > 4 or len(other) > 2:
+        key = side
+    else:
+        key = side, word[-2:], len(word), len(other)
+    got = cache.get(key)
     if got is None:
-        got = cache[side, key, free] = [] if key is None else [
-            i for i, m in enumerate(pool) if (free or not m[1 - side]) and mul_nf((), m[side], key, ())[0] is not None]
+        got = cache[key] = [] if key == side else [i for i, m in enumerate(pool) if _finishes(m, *key)]
     i = None if extra is None else index.get(extra)
     if i is not None and i not in got:
         got = sorted(got + [i])
     return got
 
 
+def _finishes(m: NormalForm, side: int, tail: Word, w: int, t: int) -> bool:
+    """Whether m's product with a y whose word ends in tail, with the
+    lengths w and t of ``_solved``, is nonzero with one empty component
+    and the other of length 1 or 2."""
+    s, o = m[side], len(m[1 - side])
+    if mul_nf((), s, tail, ())[0] is None:
+        return False
+    c = len(s)
+    a, b = (o, c - w + t) if c >= w else (w - c + o, t)
+    return (a == 0) != (b == 0) and a + b <= 2
+
+
 def _scan(state: State, pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:
     """The first child of state that is a hit, in move order, as (state,
     move, child, last move); None when there is none.  Only the moves
-    ``_solved`` finds can give it; the swap never does.  A child's y-side
-    comes first: unless it is Zero or has size at most 2 the child is no
-    hit, and its x-side is never computed."""
+    ``_solved`` lists can give it, and only their children are computed;
+    the swap never gives it."""
     (xu, xv), (yu, yv) = state
-    for i in _solved(pool, index, cache, 1, yu, yv == (), ((), xu) if xv == () else None):
+    for i in _solved(pool, index, cache, 1, yu, yv, ((), xu) if xv == () else None):
         p, q = pool[i]
-        y = mul_nf(p, q, yu, yv)
-        if y[0] is not None and len(y[0]) + len(y[1]) > 2:
-            continue
-        child = (mul_nf(p, q, xu, xv), y)
+        child = (mul_nf(p, q, xu, xv), mul_nf(p, q, yu, yv))
         last = _last_move(child, index)
         if last is not None:
             return state, (LEFT_MULTIPLY, pool[i]), child, last
-    for i in _solved(pool, index, cache, 0, yv, yu == (), (xv, ()) if xu == () else None):
+    for i in _solved(pool, index, cache, 0, yv, yu, (xv, ()) if xu == () else None):
         p, q = pool[i]
-        y = mul_nf(yu, yv, p, q)
-        if y[0] is not None and len(y[0]) + len(y[1]) > 2:
-            continue
-        child = (mul_nf(xu, xv, p, q), y)
+        child = (mul_nf(xu, xv, p, q), mul_nf(yu, yv, p, q))
         last = _last_move(child, index)
         if last is not None:
             return state, (RIGHT_MULTIPLY, pool[i]), child, last

@@ -11,6 +11,8 @@ Zero and nonzero answers occur.  Solver triples are planted: c = a*x*b
 is built nonzero from a known solution x, with elements of size up to 30
 over three letters.  So are the excluded points of a neighborhood:
 most are a*x or x*a for a known x, so the shrink has points to drop.
+Read over the letters a and b alone, planted triples and neighborhoods
+of size up to about 200 must answer the same over λ = 2, 3 and ∞.
 Collapse pairs stay small, sizes up to 4 at budgets up to 5, since the
 search grows with its budget.
 """
@@ -148,13 +150,15 @@ def overlapping(rng: random.Random, pool: list, w: tuple) -> tuple:
     return short_word(rng, pool) + w if rng.random() < 0.5 else w[rng.randint(0, len(w)):]
 
 
-def planted_triple(rng: random.Random, pool: list):
+def planted_triple(rng: random.Random, pool: list, scale: int = 1):
     """Nonzero a, b, c = a*x*b and the x planted in it: of a.v and x.u,
     one is a suffix of the other, and so of b.u and the second component
-    of a*x, so neither junction cancels to Zero."""
-    x = Element(INF, short_word(rng, pool), short_word(rng, pool))
-    a = Element(INF, short_word(rng, pool), overlapping(rng, pool, x.u))
-    b = Element(INF, overlapping(rng, pool, (a * x).v), short_word(rng, pool))
+    of a*x, so neither junction cancels to Zero.  Drawn words are up to
+    6·scale letters long."""
+    k = 6 * scale
+    x = Element(INF, short_word(rng, pool, k), short_word(rng, pool, k))
+    a = Element(INF, short_word(rng, pool, k), overlapping(rng, pool, x.u))
+    b = Element(INF, overlapping(rng, pool, (a * x).v), short_word(rng, pool, k))
     return a, b, a * x * b, x
 
 
@@ -176,25 +180,25 @@ def test_solver_answers_inverted_and_renamed_triples(seed):
         assert rclass_key(rename(perm, e)) == rename(perm, rclass_key(e))
 
 
-def planted_neighborhood(rng: random.Random, pool: list):
-    """A translation a of size up to 20, a neighborhood U of Zero that
-    excludes up to 12 points of size up to 30, the (x, side) whose
-    product with a U excludes, and a shrunk set S made of part of the
-    real shrink's points, so S keeps some preimages."""
-    a = Element(INF, short_word(rng, pool, 10), short_word(rng, pool, 10))
+def planted_neighborhood(rng: random.Random, pool: list, scale: int = 1):
+    """A translation a of size up to 20·scale, a neighborhood U of Zero
+    that excludes up to 12 points of size up to 30·scale, the (x, side)
+    whose product with a U excludes, and a shrunk set S made of part of
+    the real shrink's points, so S keeps some preimages."""
+    a = Element(INF, short_word(rng, pool, 10 * scale), short_word(rng, pool, 10 * scale))
     planted, excluded = [], set()
     for _ in range(rng.randint(1, 12)):
         kind = rng.randrange(3)
         if kind == 0:  # a*x, nonzero since x.u and a.v overlap
-            x = Element(INF, overlapping(rng, pool, a.v), short_word(rng, pool, 8))
+            x = Element(INF, overlapping(rng, pool, a.v), short_word(rng, pool, 8 * scale))
             planted.append((x, "left"))
             excluded.add(a * x)
         elif kind == 1:  # x*a, nonzero since x.v and a.u overlap
-            x = Element(INF, short_word(rng, pool, 8), overlapping(rng, pool, a.u))
+            x = Element(INF, short_word(rng, pool, 8 * scale), overlapping(rng, pool, a.u))
             planted.append((x, "right"))
             excluded.add(x * a)
         else:
-            excluded.add(Element(INF, short_word(rng, pool, 15), short_word(rng, pool, 15)))
+            excluded.add(Element(INF, short_word(rng, pool, 15 * scale), short_word(rng, pool, 15 * scale)))
     U = cofinite(INF, excluded)
     S = cofinite(INF, [f for f in shrink_neighborhood(a, U).excluded if rng.random() < 0.5])
     return a, U, planted, S
@@ -234,6 +238,40 @@ def test_translations_answer_inverted_and_renamed_neighborhoods(seed):
     assert shrink_neighborhood(rename(perm, a), rename_nbhd(perm, U)) == rename_nbhd(perm, V)
     renamed = certify_translations(rename(perm, a), rename_nbhd(perm, U), rename_nbhd(perm, S), radius)
     assert set(renamed) == {(rename(perm, x), side, rename(perm, p)) for x, side, p in bad}
+
+
+def over(alphabet: Alphabet, x: Element) -> Element:
+    return Element(alphabet, x.u, x.v)
+
+
+def over_nbhd(alphabet: Alphabet, U):
+    return cofinite(alphabet, [over(alphabet, f) for f in U.excluded])
+
+
+def bare(x: Element) -> tuple:
+    return x.u, x.v
+
+
+@settings(deadline=None)
+@given(seed=seeds, n=lengths)
+def test_two_and_three_letters_solve_and_translate_as_the_countable_alphabet_does(seed, n):
+    # inputs of size up to about n over a and b, read over λ = 2, 3 and
+    # ∞: each alphabet gives the same solutions, shrink and
+    # counterexamples, in the same order, as bare pairs
+    rng = random.Random(seed)
+    pool, scale = letter_pool(rng, top=1), n // 20
+    a, b, c, _ = planted_triple(rng, pool, scale)
+    t, U, _, S = planted_neighborhood(rng, pool, scale)
+    radius = rng.randint(0, n)
+    answers = []
+    for ab in (Alphabet(2), AB3, INF):
+        solutions = solve_axb(over(ab, a), over(ab, b), over(ab, c))
+        V = shrink_neighborhood(over(ab, t), over_nbhd(ab, U))
+        bad = certify_translations(over(ab, t), over_nbhd(ab, U), over_nbhd(ab, S), radius)
+        answers.append(([bare(s) for s in solutions], {bare(f) for f in V.excluded},
+                        [(bare(x), side, bare(p)) for x, side, p in bad]))
+    assert answers[0] == answers[1] == answers[2]
+    assert answers[2][0]  # the planted solution
 
 
 def collapse_pair(rng: random.Random):

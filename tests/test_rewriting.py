@@ -39,7 +39,7 @@ from polymon import (
     verify_derivation,
     zero,
 )
-from polymon.core import mul_nf
+from polymon.core import mul_nf, normal_forms
 from polymon.collapse import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
@@ -48,6 +48,7 @@ from polymon.collapse import (
     Derivation,
     DerivationStep,
     _letters,
+    _solved,
     _tables,
 )
 
@@ -324,6 +325,16 @@ def test_collapse_depth_5_miss_on_the_long_pair():
     x = evaluate(parse("a'a'b'b'a'b'b'a'a'b'a'b'", AB2), AB2)
     y = evaluate(parse("aabbbbaabbab", AB2), AB2)
     assert collapse_witness(x, y, 5) is None
+    # within the bound of ``_tables`` after the search; its states'
+    # components are long, so most of its lookups share Zero's empty list
+    letters = _letters(x, y)
+    assert len(_tables(letters)[2]) <= _memo_bound(len(letters))
+
+
+def _memo_bound(k):
+    """The most lists ``_solved`` keeps for k letters, as ``_tables`` states
+    it: per side, 1 + k + 3k² word keys times 3 other-lengths, plus Zero's."""
+    return 2 * 3 * (1 + k + 3 * k * k) + 2
 
 
 def _inf_ball(letters, radius):
@@ -365,8 +376,10 @@ def test_collapse_matches_element_search_on_radius_2_sample():
 def test_collapse_stops_inside_the_level(monkeypatch):
     # (1, ab) over lambda = 3 has a depth-3 derivation through the first
     # level-1 state; with cold tables, generating all of level 1 before
-    # scanning it takes 272 products, stopping at that state's hit 142,
-    # and skipping the x-side of children whose y-side cannot finish 103
+    # scanning it takes 272 products, stopping at that state's hit 142.
+    # Listing only the multipliers whose child can finish takes 116: the
+    # scan computes fewer children, but building each list multiplies
+    # once per pool member
     calls = []
 
     def counting(*args):
@@ -381,11 +394,14 @@ def test_collapse_stops_inside_the_level(monkeypatch):
     assert len(calls) < 200
 
 
-def test_collapse_scan_multiplies_x_only_when_y_can_finish(monkeypatch):
+def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
     # every ordered pair of ball(3, 2) at depth 8, on warm tables: the
-    # scan skips a child whose y-side is nonzero of size above 2 before
-    # computing its x-side.  Computing both sides of every scanned child
-    # took 32 159 products; skipping takes 21 673
+    # scan computes only the children of the multipliers ``_solved``
+    # lists, whose y-side has one empty component and the other of
+    # length 1 or 2.  Computing both sides of every suffix-comparable
+    # multiplier's child took 32 159 products, skipping the x-side of a
+    # child whose y-side cannot finish 21 673, and listing only the
+    # multipliers whose child can finish takes 10 689
     calls = []
 
     def counting(*args):
@@ -399,7 +415,27 @@ def test_collapse_scan_multiplies_x_only_when_y_can_finish(monkeypatch):
     monkeypatch.setattr("polymon.collapse.mul_nf", counting)
     got = [collapse_witness(x, y, 8) for x, y in seeds]
     assert got == want
-    assert len(calls) <= 22_000
+    assert len(calls) <= 11_000
+
+
+@pytest.mark.parametrize("letters", [(0, 1), (0, 1, 2)])
+def test_solved_lists_exactly_the_multipliers_whose_child_can_finish(letters):
+    # every y up to size 6 and Zero, both sides: a member is listed
+    # exactly when its product with y is nonzero with one empty
+    # component and the other of length 1 or 2.  These y ask for every
+    # key, so the memo reaches the bound of ``_tables``
+    pool, index, _ = _tables(letters)
+    cache = {}
+    for yu, yv in [(None, None)] + normal_forms(letters, 6):
+        for side, word, other in ((1, yu, yv), (0, yv, yu)):
+            got = _solved(pool, index, cache, side, word, other, None)
+            want = []
+            for i, (p, q) in enumerate(pool):
+                u, v = mul_nf(p, q, yu, yv) if side else mul_nf(yu, yv, p, q)
+                if u is not None and (not u) != (not v) and len(u) + len(v) <= 2:
+                    want.append(i)
+            assert got == want, (side, yu, yv)
+    assert len(cache) == _memo_bound(len(letters))
 
 
 def test_multiplier_pool_order_and_size():
@@ -443,7 +479,7 @@ def test_collapse_tables_cold_and_warm_give_the_pinned_derivations():
         k = len(letters)
         assert type(pool) is tuple and len(pool) == len(index) == 2 * k + 3 * k * k
         assert all(pool[i] == m for m, i in index.items())
-        assert len(solved) <= 4 * (1 + k + k * k) + 2
+        assert len(solved) <= _memo_bound(k)
     assert _tables.cache_info().misses == built.misses
 
 
