@@ -284,45 +284,39 @@ def _last_move(state: State, index: Dict[NormalForm, int]) -> Optional[Move]:
 def _solved(pool: Pool, index: Dict[NormalForm, int], cache: dict, side: int,
             word: Optional[Word], other: Optional[Word], extra: Optional[NormalForm]) -> List[int]:
     """Pool indices, ascending, of the members m whose child can finish:
-    the product of m with y = (word, other) on side (m * y for side 1,
-    y * m for side 0) is nonzero and has one empty component and the other
-    of length 1 or 2; plus extra's.  Zero's word None has no such member.
+    m's product with y on side (m * y with y = (word, other) for side 1,
+    y * m with y = (other, word) for side 0) is nonzero and has one empty
+    component and the other of length 1 or 2; plus extra's.  Zero's word
+    None has no such member.  A missing list is filled by computing those
+    products with ``mul_nf`` for the y that asks for it.
 
-    Let s = m[side], c = |s|, o = |m[1 - side]|, w = |word| and t =
-    |other|.  The product is nonzero exactly when s and word are
-    suffix-comparable, ((), s) * (word, ()) not Zero, and then its
-    component lengths are {o, c - w + t} if c >= w and {w - c + o, t}
-    otherwise.  Members have size at most 2, so word[-2:] decides
-    comparability, and no member qualifies once w >= 5 or t >= 3.  The
-    cache is keyed on side, word[-2:], w and t, and a y with w >= 5 or
-    t >= 3 shares the empty list of Zero's key, side.  Every search over
-    the same letters shares the cached lists, so they are only read;
-    adding extra makes a new list.  Lists, not tuples: freed tuples of a
-    dozen different lengths would pile up in the interpreter's tuple
-    free lists."""
+    Every y with the same key gets the same list.  Let s = m[side], c =
+    |s|, o = |m[1 - side]|, w = |word| and t = |other|.  The product is
+    nonzero exactly when s and word are suffix-comparable, ((), s) *
+    (word, ()) not Zero, and then its component lengths are {o, c - w + t}
+    if c >= w and {w - c + o, t} otherwise.  Members have size at most 2,
+    so word[-2:] decides comparability, and no member qualifies once
+    w >= 5 or t >= 3.  The cache is keyed on side, word[-2:], w and t, and
+    a y with w >= 5 or t >= 3 shares the empty list of Zero's key, side.
+    Every search over the same letters shares the cached lists, so they
+    are only read; adding extra makes a new list.  Lists, not tuples:
+    freed tuples of a dozen different lengths would pile up in the
+    interpreter's tuple free lists."""
     if word is None or len(word) > 4 or len(other) > 2:
         key = side
     else:
         key = side, word[-2:], len(word), len(other)
     got = cache.get(key)
     if got is None:
-        got = cache[key] = [] if key == side else [i for i, m in enumerate(pool) if _finishes(m, *key)]
+        got = cache[key] = []
+        for i, (p, q) in enumerate(pool):
+            u, v = mul_nf(p, q, word, other) if side else mul_nf(other, word, p, q)
+            if u is not None and (not u) != (not v) and len(u) + len(v) <= 2:
+                got.append(i)
     i = None if extra is None else index.get(extra)
     if i is not None and i not in got:
         got = sorted(got + [i])
     return got
-
-
-def _finishes(m: NormalForm, side: int, tail: Word, w: int, t: int) -> bool:
-    """Whether m's product with a y whose word ends in tail, with the
-    lengths w and t of ``_solved``, is nonzero with one empty component
-    and the other of length 1 or 2."""
-    s, o = m[side], len(m[1 - side])
-    if mul_nf((), s, tail, ())[0] is None:
-        return False
-    c = len(s)
-    a, b = (o, c - w + t) if c >= w else (w - c + o, t)
-    return (a == 0) != (b == 0) and a + b <= 2
 
 
 def _scan(state: State, pool: Pool, index: Dict[NormalForm, int], cache: dict) -> Optional[tuple]:

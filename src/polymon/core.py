@@ -166,14 +166,13 @@ def make_alphabet(size: "int | str | None") -> Alphabet:
 class Element(_Value):
     """One monoid element: Zero (u is None) or the normal form (u, v).
 
-    Instances are immutable and hashable, the hash kept from its first use;
-    equality is structural on the normal form, which is unique, so it
-    coincides with equality in the monoid.  Direct construction skips letter
+    Instances are immutable and hashable, hashed as the tuple of their
+    fields; equality is structural on the normal form, which is unique, so
+    it coincides with equality in the monoid.  Direct construction skips letter
     validation; use the ``element``/``generator`` factories for unchecked input.
     """
 
-    __slots__ = ("alphabet", "u", "v", "_hash")
-    _fields = ("alphabet", "u", "v")
+    __slots__ = _fields = ("alphabet", "u", "v")
 
     def __init__(self, alphabet: Alphabet, u: Optional[Word], v: Optional[Word]) -> None:
         if (u is None) != (v is None):
@@ -181,7 +180,6 @@ class Element(_Value):
         _set_alphabet(self, alphabet)
         _set_u(self, u)
         _set_v(self, v)
-        _set_hash(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -189,9 +187,7 @@ class Element(_Value):
         return self.u == other.u and self.v == other.v and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            _set_hash(self, hash((self.alphabet, self.u, self.v)))
-        return self._hash
+        return hash((self.alphabet, self.u, self.v))
 
     # -- predicates ----------------------------------------------------
 
@@ -260,7 +256,7 @@ class Element(_Value):
 
 
 # Element's slot writers; faster than _set, which looks the slot up by name
-_set_alphabet, _set_u, _set_v, _set_hash = (getattr(Element, n).__set__ for n in ("alphabet", "u", "v", "_hash"))
+_set_alphabet, _set_u, _set_v = (getattr(Element, n).__set__ for n in Element._fields)
 
 
 # -- factories ---------------------------------------------------------

@@ -47,12 +47,16 @@ def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
     ``inv`` holds in reading order, and a positive suffix, whose letters
     ``pos`` holds (the module docstring says why no other shape occurs);
     so u is ``inv`` reversed and v is ``pos``.  Once the word is Zero,
-    ``pos`` is None and the pass only checks the letters left."""
+    ``pos`` is None and the pass only checks the letters left.  A letter
+    that is no int, or is a bool, raises ``UnknownLetter`` before ``abs``
+    sees it, as 0 and an index outside the alphabet do; an exact int skips
+    the type tests."""
     inv: List[int] = []
     pos: Optional[List[int]] = []
     for s in word:
-        if s == 0 or type(s) is bool or abs(s) - 1 not in alphabet:
-            raise UnknownLetter(f"signed letter {s} invalid for alphabet of size {alphabet.size}")
+        if (type(s) is not int and (type(s) is bool or not isinstance(s, int))
+                or s == 0 or abs(s) - 1 not in alphabet):
+            raise UnknownLetter(f"signed letter {s!r} invalid for alphabet of size {alphabet.size}")
         if pos is None:
             continue
         if s > 0:

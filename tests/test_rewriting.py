@@ -77,6 +77,11 @@ def test_reduce_validates_letters():
         reduce(AB2, [6])  # letter 5
     with pytest.raises(UnknownLetter):
         reduce(AB2, [0])  # 0 is not a valid signed letter
+    # a letter that is no number is rejected before abs sees it, named by repr
+    for bad, shown in ((None, "None"), ("a", "'a'"), ((1,), "(1,)")):
+        with pytest.raises(UnknownLetter) as exc:
+            reduce(AB2, [1, bad])
+        assert str(exc.value) == f"signed letter {shown} invalid for alphabet of size 2"
 
 
 def test_reduce_reads_a_one_shot_iterator():
@@ -359,18 +364,20 @@ def test_collapse_matches_element_search(lam, radius, pairs):
 
 def test_collapse_matches_element_search_on_radius_2_sample():
     # a depth-3 answer comes from a hit among the children of a level-1
-    # state, found while level 1 is still being generated
-    elems = list(ball(Alphabet(3), 2))
-    seeds = random.Random(3).sample([(x, y) for x in elems for y in elems if x != y], 60)
-    found_at_3 = 0
-    for depth in (3, 4):
-        for x, y in seeds:
-            got = collapse_witness(x, y, depth)
-            want = collapse_witness_elements(x, y, depth)
-            assert (got is None) == (want is None), (x, y, depth)
-            assert got is None or got.to_json() == want.to_json(), (x, y, depth)
-            found_at_3 += got is not None and got.depth == 3
-    assert found_at_3 == 32
+    # state, found while level 1 is still being generated; over lambda =
+    # inf the letters a, c, g27 are not adjacent indices
+    found_at_3 = []
+    for elems in (list(ball(Alphabet(3), 2)), _inf_ball((0, 2, 27), 2)):
+        seeds = random.Random(3).sample([(x, y) for x in elems for y in elems if x != y], 60)
+        found_at_3.append(0)
+        for depth in (3, 4):
+            for x, y in seeds:
+                got = collapse_witness(x, y, depth)
+                want = collapse_witness_elements(x, y, depth)
+                assert (got is None) == (want is None), (x, y, depth)
+                assert got is None or got.to_json() == want.to_json(), (x, y, depth)
+                found_at_3[-1] += got is not None and got.depth == 3
+    assert found_at_3 == [32, 32]
 
 
 def test_collapse_stops_inside_the_level(monkeypatch):
@@ -418,24 +425,35 @@ def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
     assert len(calls) <= 11_000
 
 
-@pytest.mark.parametrize("letters", [(0, 1), (0, 1, 2)])
+@pytest.mark.parametrize("letters", [(0, 1), (0, 1, 2), (0, 2, 27)])
 def test_solved_lists_exactly_the_multipliers_whose_child_can_finish(letters):
     # every y up to size 6 and Zero, both sides: a member is listed
     # exactly when its product with y is nonzero with one empty
-    # component and the other of length 1 or 2.  These y ask for every
-    # key, so the memo reaches the bound of ``_tables``
+    # component and the other of length 1 or 2.  The y that first asks
+    # for a key fills its list, so two fresh memos, one filled in
+    # enumeration order and one in reverse, must agree: the key, not the
+    # y, decides the list.  These y ask for every key, so each memo
+    # reaches the bound of ``_tables``; (0, 2, 27) are sparse letters
     pool, index, _ = _tables(letters)
-    cache = {}
-    for yu, yv in [(None, None)] + normal_forms(letters, 6):
-        for side, word, other in ((1, yu, yv), (0, yv, yu)):
-            got = _solved(pool, index, cache, side, word, other, None)
-            want = []
+    ys = [(None, None)] + normal_forms(letters, 6)
+    want = {}
+    for yu, yv in ys:
+        for side in (1, 0):
+            listed = want[side, yu, yv] = []
             for i, (p, q) in enumerate(pool):
                 u, v = mul_nf(p, q, yu, yv) if side else mul_nf(yu, yv, p, q)
                 if u is not None and (not u) != (not v) and len(u) + len(v) <= 2:
-                    want.append(i)
-            assert got == want, (side, yu, yv)
-    assert len(cache) == _memo_bound(len(letters))
+                    listed.append(i)
+    memos = []
+    for order in (ys, ys[::-1]):
+        cache = {}
+        for yu, yv in order:
+            for side, word, other in ((1, yu, yv), (0, yv, yu)):
+                got = _solved(pool, index, cache, side, word, other, None)
+                assert got == want[side, yu, yv], (side, yu, yv)
+        assert len(cache) == _memo_bound(len(letters))
+        memos.append(cache)
+    assert memos[0] == memos[1]
 
 
 def test_multiplier_pool_order_and_size():
