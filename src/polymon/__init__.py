@@ -4,7 +4,7 @@ The package is organized by concern:
 
 - ``core``: alphabets, normal forms, closed-form arithmetic
 - ``rewriting``: the free-word oracle behind every product
-- ``collapse``: the congruence-collapse search and its replay
+- ``collapse``: the shortest congruence-collapse derivation and its replay
 - ``green``: R-classes, the finite equation solver, balls, stack action
 - ``topology``: the compact one-point model and continuity certificates
 - ``parsing`` / ``cli``: expression front end and the ``polymon`` command

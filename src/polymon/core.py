@@ -58,7 +58,7 @@ def mul_nf(u: Optional[Word], v: Optional[Word], p: Optional[Word], q: Optional[
 
     A factor with u (or p) None is Zero.  Returns the product's pair
     (u, v), which is (None, None) for Zero, the shape of ``Element``'s
-    fields.  ``Element.__mul__``, ``green.act`` and the collapse search
+    fields.  ``Element.__mul__``, ``green.act`` and ``collapse_witness``
     all multiply through this function.
     """
     if u is None or p is None:
@@ -289,8 +289,8 @@ def enumeration_key(x: Element) -> tuple:
 
 def normal_forms(letters: Sequence[int], n: int) -> List[NormalForm]:
     """Every nonzero normal form with |u| + |v| <= n over the given
-    letters, as bare pairs in enumeration order: the one listing behind
-    ``green.ball`` and the collapse search's multiplier pool.  The words
+    letters, as bare pairs in enumeration order: the listing behind
+    ``green.ball``.  The words
     of each length are listed once and paired by (|u| + |v|, |u|, u, v).
     The empty word needs no letters, so n = 0 never reads them."""
     words = [list(product(letters, repeat=k)) if k else [()] for k in range(n + 1)]

@@ -175,8 +175,8 @@ def multiplier_pool(a: Element, b: Element) -> list:
     """Pool of the ``collapse_witness_elements`` oracle: the ball of radius 2
     over the letters occurring in a, b plus one fresh letter (the smallest
     non-occurring index, when the alphabet has one), in enumeration order
-    with Zero first.  Built from ``elements_of_size``, so it shares no code
-    with the library search's pool."""
+    with Zero first, built from ``elements_of_size``.  The shortest
+    derivation may need a longer multiplier than any in it."""
     letters = letters_of(a, b)
     fresh = min(set(range(len(letters) + 1)) - letters)
     if fresh in a.alphabet:
@@ -186,10 +186,12 @@ def multiplier_pool(a: Element, b: Element) -> list:
 
 
 def collapse_witness_elements(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
-    """Oracle for ``collapse_witness``: the same breadth-first search run
-    on ``Element`` pairs with ``Element * Element``, with the move order,
-    diagonal pruning, first-discovery parents and depth check of the
-    library search."""
+    """Upper-bound oracle for ``collapse_witness``: a breadth-first search
+    over ``Element`` pairs with ``Element * Element`` and multipliers from
+    ``multiplier_pool`` only, which prunes diagonal pairs and keeps
+    first-discovery parents.  It finds the shortest derivation over that
+    pool, so whenever it finds one within a budget, ``collapse_witness``
+    finds one too, no deeper."""
     if max_depth < 0:
         raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
     if a.alphabet != b.alphabet:

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -195,12 +196,13 @@ def test_09_congruence_collapse(report):
     b2 = list(ball(AB2, 2))
     ok = True
     pairs = 0
+    depths = Counter()
     for x in b2:
         for y in b2:
             if x == y:
                 continue
             derivation = collapse_witness(x, y, max_depth=8)
-            if derivation is None or derivation.depth > 8:
+            if derivation is None or derivation.depth > 3:
                 ok = False
                 continue
             try:
@@ -208,6 +210,8 @@ def test_09_congruence_collapse(report):
             except ValueError:
                 ok = False
             pairs += 1
+            depths[derivation.depth] += 1
+    ok = ok and depths == {0: 1, 1: 81, 2: 218, 3: 6}
     e = generator(AB2, 0).inverse() * generator(AB2, 0)
     b = generator(AB2, 1)
     found = collapse_witness(e, one(AB2))
@@ -219,8 +223,8 @@ def test_09_congruence_collapse(report):
     exact = [(s.rule, s.by, s.pair) for s in found.steps] == expected
     report(
         ok and exact,
-        f"collapse: {pairs} distinct radius-2 pairs all derive (0, 1) within depth 8 "
-        "and replay; canonical two-step chain reproduced exactly",
+        f"collapse: {pairs} distinct radius-2 pairs all derive (0, 1) within depth 3 "
+        f"(depths {dict(sorted(depths.items()))}) and replay; canonical two-step chain reproduced exactly",
     )
 
 

@@ -254,9 +254,20 @@ CASES = {
           '"v": []}}]}\n'),
          ""),
         (["collapse", "1", "ab", "--lambda", "3"], "", 0,
-         "seed: 1 ~ ab\nleft-multiply a: a ~ aab\nright-multiply a': 1 ~ 0\nsymmetry: 0 ~ 1\n", ""),
-        (["collapse", "1", "aa"], "", 0,
-         "seed: 1 ~ aa\nleft-multiply b: b ~ baa\nright-multiply a': 0 ~ ba\nright-multiply a'b': 0 ~ 1\n", ""),
+         "seed: 1 ~ ab\nleft-multiply a: a ~ aab\nright-multiply b'a'a': 0 ~ 1\n", ""),
+        (["collapse", "1", "aa"], "", 0, "seed: 1 ~ aa\nleft-multiply b: b ~ baa\nright-multiply a'a'b': 0 ~ 1\n", ""),
+        # multipliers of any size: the long pair collapses in two steps
+        (["collapse", "a'a'b'b'a'b'b'a'a'b'a'b'", "aabbbbaabbab", "--depth", "5"], "", 0,
+         ("seed: a'a'b'b'a'b'b'a'a'b'a'b' ~ aabbbbaabbab\nleft-multiply b: 0 ~ baabbbbaabbab\n"
+          "right-multiply b'a'b'b'a'a'b'b'b'b'a'a'b': 0 ~ 1\n"),
+         ""),
+        (["collapse", "a'a'b'b'a'b'b'a'a'b'a'b'", "aabbbbaabbab", "--depth", "5", "--format", "json"], "", 0,
+         ('{"found": true, "depth": 2, "steps": [{"rule": "seed", "pair": [{"u": [1, 0, 1, 0, 0, 1, 1, 0, 1, 1, '
+          '0, 0], "v": []}, {"u": [], "v": [0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1]}]}, {"rule": "left-multiply", '
+          '"pair": [{"zero": true}, {"u": [], "v": [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1]}], "by": {"u": [], '
+          '"v": [1]}}, {"rule": "right-multiply", "pair": [{"zero": true}, {"u": [], "v": []}], "by": {"u": [1, '
+          '0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1], "v": []}}]}\n'),
+         ""),
         (["collapse", "1", "0"], "", 0, "seed: 1 ~ 0\nsymmetry: 0 ~ 1\n", ""),
         (["collapse", "0", "a"], "", 0, "seed: 0 ~ a\nright-multiply a': 0 ~ 1\n", ""),
     ],
@@ -270,11 +281,6 @@ CASES = {
     "test_collapse_not_found": [
         (["collapse", "a", "b", "--depth", "0"], "", 0, "not found within depth 0\n", ""),
         (["collapse", "a", "b", "--depth", "0", "--format", "json"], "", 0, '{"found": false, "max_depth": 0}\n', ""),
-        # the long pair needs no state past depth 3 to rule out depth 5
-        (["collapse", "a'a'b'b'a'b'b'a'a'b'a'b'", "aabbbbaabbab", "--depth", "5"], "", 0,
-         "not found within depth 5\n", ""),
-        (["collapse", "a'a'b'b'a'b'b'a'a'b'a'b'", "aabbbbaabbab", "--depth", "5", "--format", "json"], "", 0,
-         '{"found": false, "max_depth": 5}\n', ""),
     ],
     "test_collapse_equal_seed_exits_1": [
         (["collapse", "a", "a"], "", 1, "", "error: seed must identify two distinct elements, got a twice\n"),
@@ -285,10 +291,8 @@ CASES = {
     "test_collapse_depth_over_cap_exits_1": [
         (["collapse", "a'a", "1", "--depth", "16"], "", 0,
          "seed: a'a ~ 1\nleft-multiply b: 0 ~ b\nright-multiply b': 0 ~ 1\n", ""),
-        (["collapse", "a'a", "1", "--depth", "17"], "", 1, "", "error: depth 17 is above the cap of 16\n"),
-        # checked before the pair is evaluated: c is no letter over lambda = 2
         (["collapse", "c", "a", "--depth", str(10**30)], "", 1, "",
-         "error: depth 1000000000000000000000000000000 is above the cap of 16\n"),
+         "error: letter c (position 0) not in alphabet of size 2\n"),
     ],
     "test_export_dot_json": [
         (["export-dot", "0", "b.dot", "--format", "json"], "", 0, '{"file": "b.dot", "nodes": 4, "edges": 4}\n', ""),

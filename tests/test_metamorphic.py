@@ -13,8 +13,7 @@ over three letters.  So are the excluded points of a neighborhood:
 most are a*x or x*a for a known x, so the shrink has points to drop.
 Read over the letters a and b alone, planted triples and neighborhoods
 of size up to about 200 must answer the same over λ = 2, 3 and ∞.
-Collapse pairs stay small, sizes up to 4 at budgets up to 5, since the
-search grows with its budget.
+Collapse pairs stay small, sizes up to 4 at budgets up to 5.
 """
 
 import random

@@ -1,12 +1,13 @@
-"""Free-word reduction oracle and the congruence-collapse search."""
+"""Free-word reduction oracle and the shortest congruence-collapse derivation."""
 
+import collections
 import hashlib
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -39,7 +40,7 @@ from polymon import (
     verify_derivation,
     zero,
 )
-from polymon.core import mul_nf, normal_forms
+from polymon.core import mul_nf
 from polymon.collapse import (
     LEFT_MULTIPLY,
     RIGHT_MULTIPLY,
@@ -47,9 +48,6 @@ from polymon.collapse import (
     SYMMETRY,
     Derivation,
     DerivationStep,
-    _letters,
-    _solved,
-    _tables,
 )
 
 AB2 = Alphabet(2)
@@ -241,7 +239,7 @@ def test_collapse_idempotent_unit_chain():
 def test_collapse_two_generators():
     d = collapse_witness(A, B)
     assert d.final_pair == (ZERO, ONE)
-    assert d.depth <= 6
+    assert d.depth == 1
     verify_derivation(d, seed=(A, B))
 
 
@@ -312,34 +310,29 @@ def _deep_pairs(seed, count):
 
 
 def test_collapse_derivations_pinned_on_deep_pairs():
-    # Pinned from the breadth-first search that generated every level up
-    # to the budget: 36 pairs, 9 found at depth 3, 19 at 4, 5 at 5 and 3
-    # not found; the seed keeps the sweep well under 2 s.
+    # 36 pairs, 5 found at depth 1 and 31 at depth 2, all within budget
     blobs = []
     for x, y, depth in _deep_pairs(10, 4):
         d = collapse_witness(x, y, depth)
         blobs.append(None if d is None else d.to_json())
     assert len(blobs) == 36
     text = json.dumps(blobs, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "2a63f7ef74ffc4c8a48015e991152b09c6c0b736277a1179b72cfb042bc22169"
+    assert hashlib.sha256(text.encode()).hexdigest() == "d0c544f33716bfb61a856bf9dd38a94ea4f9ed6542d218044bb003650c93602e"
 
 
 def test_collapse_depth_5_miss_on_the_long_pair():
-    # a depth-6 search for this pair visits over a million states when
-    # every level is generated; depth 5 must answer fast, and with None
+    # with multipliers of any size the pair collapses in two steps, so a
+    # budget of 5 finds it and only a budget below 2 misses
     x = evaluate(parse("a'a'b'b'a'b'b'a'a'b'a'b'", AB2), AB2)
     y = evaluate(parse("aabbbbaabbab", AB2), AB2)
-    assert collapse_witness(x, y, 5) is None
-    # within the bound of ``_tables`` after the search; its states'
-    # components are long, so most of its lookups share Zero's empty list
-    letters = _letters(x, y)
-    assert len(_tables(letters)[2]) <= _memo_bound(len(letters))
-
-
-def _memo_bound(k):
-    """The most lists ``_solved`` keeps for k letters, as ``_tables`` states
-    it: per side, 1 + k + 3k² word keys times 3 other-lengths, plus Zero's."""
-    return 2 * 3 * (1 + k + 3 * k * k) + 2
+    d = collapse_witness(x, y, 5)
+    assert [(s.rule, s.by, s.pair) for s in d.steps] == [
+        (SEED, None, (x, y)),
+        (LEFT_MULTIPLY, B, (ZERO, evaluate(parse("baabbbbaabbab", AB2), AB2))),
+        (RIGHT_MULTIPLY, evaluate(parse("b'a'b'b'a'a'b'b'b'b'a'a'b'", AB2), AB2), (ZERO, ONE)),
+    ]
+    verify_derivation(d, (x, y))
+    assert collapse_witness(x, y, 1) is None
 
 
 def _inf_ball(letters, radius):
@@ -347,68 +340,106 @@ def _inf_ball(letters, radius):
     return [zero(ab)] + [e for n in range(radius + 1) for e in elements_of_size(ab, letters, n)]
 
 
+def _check_against_the_oracle(x, y, budgets):
+    """The answer for (x, y) at each budget replays; it is None exactly
+    when the unbudgeted answer is longer than the budget, and otherwise
+    that answer; it is found whenever the radius-2 search of
+    ``collapse_witness_elements`` finds a derivation, and no deeper.
+    Returns whether that search finds none at the largest budget, or a
+    deeper one."""
+    full = collapse_witness(x, y, 8)
+    verify_derivation(full, (x, y))
+    for budget in budgets:
+        got = collapse_witness(x, y, budget)
+        want = collapse_witness_elements(x, y, budget)
+        assert got == (None if full.depth > budget else full), (x, y, budget)
+        assert want is None or (got is not None and got.depth <= want.depth), (x, y, budget)
+    return want is None or full.depth < want.depth
+
+
 # Over lambda = inf the letters a, c, g27 leave b as the pool's fresh letter.
+# The last count is of the pairs where the radius-2 search finds no
+# derivation within depth 8, or a deeper one.
 @pytest.mark.parametrize("lam, radius, pairs", [(2, 2, 306), (3, 1, 56), (None, 1, 56)])
 def test_collapse_matches_element_search(lam, radius, pairs):
     elems = list(ball(Alphabet(lam), radius)) if lam else _inf_ball((0, 2, 27), radius)
     seeds = [(x, y) for x in elems for y in elems if x != y]
     assert len(seeds) == pairs
-    # depths 0-3 put the end of the search on each side of the level scan
-    for depth in (0, 1, 2, 3, 8):
-        for x, y in seeds:
-            got = collapse_witness(x, y, depth)
-            want = collapse_witness_elements(x, y, depth)
-            assert (got is None) == (want is None), (x, y, depth)
-            assert got is None or got.to_json() == want.to_json(), (x, y, depth)
+    shallower = sum(_check_against_the_oracle(x, y, (0, 1, 2, 3, 8)) for x, y in seeds)
+    assert shallower == {2: 80, 3: 0, None: 0}[lam]
 
 
 def test_collapse_matches_element_search_on_radius_2_sample():
-    # a depth-3 answer comes from a hit among the children of a level-1
-    # state, found while level 1 is still being generated; over lambda =
-    # inf the letters a, c, g27 are not adjacent indices
-    found_at_3 = []
+    # over lambda = inf the letters a, c, g27 are not adjacent indices
+    shallower = []
     for elems in (list(ball(Alphabet(3), 2)), _inf_ball((0, 2, 27), 2)):
         seeds = random.Random(3).sample([(x, y) for x in elems for y in elems if x != y], 60)
-        found_at_3.append(0)
-        for depth in (3, 4):
-            for x, y in seeds:
-                got = collapse_witness(x, y, depth)
-                want = collapse_witness_elements(x, y, depth)
-                assert (got is None) == (want is None), (x, y, depth)
-                assert got is None or got.to_json() == want.to_json(), (x, y, depth)
-                found_at_3[-1] += got is not None and got.depth == 3
-    assert found_at_3 == [32, 32]
+        shallower.append(sum(_check_against_the_oracle(x, y, (2, 3, 4)) for x, y in seeds))
+    assert shallower == [14, 14]
 
 
-def test_collapse_stops_inside_the_level(monkeypatch):
-    # (1, ab) over lambda = 3 has a depth-3 derivation through the first
-    # level-1 state; with cold tables, generating all of level 1 before
-    # scanning it takes 272 products, stopping at that state's hit 142.
-    # Listing only the multipliers whose child can finish takes 116: the
-    # scan computes fewer children, but building each list multiplies
-    # once per pool member
-    calls = []
+@pytest.mark.parametrize("lam, radius, pool_radius", [(2, 2, 4), (3, 2, 3)])
+def test_collapse_is_shortest_over_a_larger_pool(lam, radius, pool_radius):
+    # every ordered pair of ball(lam, radius) against every chain of depth
+    # at most 2 with multipliers from ball(lam, pool_radius), on bare
+    # pairs: no chain reaches (0, 1) in fewer steps than the answer
+    ab = Alphabet(lam)
+    pool = [(m.u, m.v) for m in ball(ab, pool_radius)]
+    zero_nf, one_nf = (None, None), ((), ())
+    finishers = {}
 
-    def counting(*args):
-        calls.append(args)
-        return mul_nf(*args)
+    def ends(x, y):
+        """Whether one step takes (x, y) to (0, 1)."""
+        if y not in finishers:
+            finishers[y] = ([m for m in pool if mul_nf(*m, *y) == one_nf],
+                            [m for m in pool if mul_nf(*y, *m) == one_nf])
+        left, right = finishers[y]
+        return ((x, y) == (one_nf, zero_nf) or any(mul_nf(*m, *x)[0] is None for m in left)
+                or any(mul_nf(*x, *m)[0] is None for m in right))
 
-    ab3 = Alphabet(3)
-    _tables.cache_clear()
-    monkeypatch.setattr("polymon.collapse.mul_nf", counting)
-    d = collapse_witness(one(ab3), evaluate(parse("ab", ab3), ab3), 8)
-    assert d.depth == 3
-    assert len(calls) < 200
+    elems = list(ball(ab, radius))
+    depths = collections.Counter()
+    for a, b in [(a, b) for a in elems for b in elems if a != b]:
+        d = collapse_witness(a, b)
+        verify_derivation(d, (a, b))
+        depths[d.depth] += 1
+        x, y = (a.u, a.v), (b.u, b.v)
+        assert d.depth == 0 or (x, y) != (zero_nf, one_nf)
+        assert d.depth <= 1 or not ends(x, y), (a, b)
+        if d.depth == 3:
+            children = [(y, x)] + [(mul_nf(*m, *x), mul_nf(*m, *y)) for m in pool]
+            children += [(mul_nf(*x, *m), mul_nf(*y, *m)) for m in pool]
+            assert not any(ends(*c) for c in children), (a, b)
+    assert max(depths) == 3
+
+
+@st.composite
+def _collapse_seeds(draw):
+    """Two distinct elements of size 0-40 over lambda = 2, 3 or inf, the
+    last over the sparse letters a, c and g27; Zero now and then."""
+    lam = draw(st.sampled_from((2, 3, None)))
+    ab = Alphabet(lam)
+    word = st.lists(st.sampled_from((0, 2, 27) if lam is None else range(lam)), max_size=20).map(tuple)
+    elem = st.one_of(st.just(zero(ab)), st.builds(lambda u, v: Element(ab, u, v), word, word))
+    x = draw(elem)
+    return x, draw(elem.filter(lambda e: e != x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_collapse_seeds(), budget=st.integers(3, 8))
+def test_collapse_long_pairs_take_at_most_three_steps(seed, budget):
+    x, y = seed
+    d = collapse_witness(x, y, budget)
+    assert d is not None and d.depth <= 3
+    verify_derivation(d, (x, y))
+    assert collapse_witness(x, y, d.depth) == d
+    assert d.depth == 0 or collapse_witness(x, y, d.depth - 1) is None
 
 
 def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
-    # every ordered pair of ball(3, 2) at depth 8, on warm tables: the
-    # scan computes only the children of the multipliers ``_solved``
-    # lists, whose y-side has one empty component and the other of
-    # length 1 or 2.  Computing both sides of every suffix-comparable
-    # multiplier's child took 32 159 products, skipping the x-side of a
-    # child whose y-side cannot finish 21 673, and listing only the
-    # multipliers whose child can finish takes 10 689
+    # every ordered pair of ball(3, 2): at most eight products per pair,
+    # two for the c of each orientation tried and two for each of the left
+    # and the right step
     calls = []
 
     def counting(*args):
@@ -420,40 +451,12 @@ def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
     assert len(seeds) == 1190
     want = [collapse_witness(x, y, 8) for x, y in seeds]
     monkeypatch.setattr("polymon.collapse.mul_nf", counting)
-    got = [collapse_witness(x, y, 8) for x, y in seeds]
-    assert got == want
-    assert len(calls) <= 11_000
-
-
-@pytest.mark.parametrize("letters", [(0, 1), (0, 1, 2), (0, 2, 27)])
-def test_solved_lists_exactly_the_multipliers_whose_child_can_finish(letters):
-    # every y up to size 6 and Zero, both sides: a member is listed
-    # exactly when its product with y is nonzero with one empty
-    # component and the other of length 1 or 2.  The y that first asks
-    # for a key fills its list, so two fresh memos, one filled in
-    # enumeration order and one in reverse, must agree: the key, not the
-    # y, decides the list.  These y ask for every key, so each memo
-    # reaches the bound of ``_tables``; (0, 2, 27) are sparse letters
-    pool, index, _ = _tables(letters)
-    ys = [(None, None)] + normal_forms(letters, 6)
-    want = {}
-    for yu, yv in ys:
-        for side in (1, 0):
-            listed = want[side, yu, yv] = []
-            for i, (p, q) in enumerate(pool):
-                u, v = mul_nf(p, q, yu, yv) if side else mul_nf(yu, yv, p, q)
-                if u is not None and (not u) != (not v) and len(u) + len(v) <= 2:
-                    listed.append(i)
-    memos = []
-    for order in (ys, ys[::-1]):
-        cache = {}
-        for yu, yv in order:
-            for side, word, other in ((1, yu, yv), (0, yv, yu)):
-                got = _solved(pool, index, cache, side, word, other, None)
-                assert got == want[side, yu, yv], (side, yu, yv)
-        assert len(cache) == _memo_bound(len(letters))
-        memos.append(cache)
-    assert memos[0] == memos[1]
+    per_pair = []
+    for (x, y), d in zip(seeds, want):
+        before = len(calls)
+        assert collapse_witness(x, y, 8) == d
+        per_pair.append(len(calls) - before)
+    assert max(per_pair) <= 8
 
 
 def test_multiplier_pool_order_and_size():
@@ -463,8 +466,6 @@ def test_multiplier_pool_order_and_size():
     assert len(pool) == 18
     assert pool == [ZERO, ONE, *elements_of_size(AB2, [0, 1], 1), *elements_of_size(AB2, [0, 1], 2)]
     assert len(set(pool)) == len(pool)
-    # the library search tries the same multipliers past 0 and 1, as bare pairs
-    assert _tables(_letters(A.inverse() * A, ONE))[0] == tuple((m.u, m.v) for m in pool[2:])
 
 
 def test_multiplier_pool_fresh_letter_only_when_available():
@@ -472,46 +473,6 @@ def test_multiplier_pool_fresh_letter_only_when_available():
     x = generator(ab3, 0)
     pool = multiplier_pool(x.inverse() * x, one(ab3))
     assert letters_of(*pool) == {0, 1}  # the occurring letter plus one fresh letter
-    assert _tables(_letters(x.inverse() * x, one(ab3)))[0] == tuple((m.u, m.v) for m in pool[2:])
-
-
-def test_collapse_tables_cold_and_warm_give_the_pinned_derivations():
-    # one sweep with no tables built, then the same pairs in reverse order
-    # on the tables the first sweep left
-    seeds = {lam: [(x, y) for x in ball(Alphabet(lam), 1) for y in ball(Alphabet(lam), 1) if x != y]
-             for lam, _, _ in RADIUS_1}
-    sweep = [(lam, x, y) for lam, pairs in seeds.items() for x, y in pairs]
-    _tables.cache_clear()
-    cold = {(lam, x, y): collapse_witness(x, y, 8).to_json() for lam, x, y in sweep}
-    built = _tables.cache_info()
-    assert built.hits > 0 and built.currsize == built.misses
-    warm = {(lam, x, y): collapse_witness(x, y, 8).to_json() for lam, x, y in reversed(sweep)}
-    assert _tables.cache_info().misses == built.misses
-    for run in (cold, warm):
-        for lam, _, digest in RADIUS_1:
-            text = json.dumps([run[lam, x, y] for x, y in seeds[lam]], sort_keys=True)
-            assert hashlib.sha256(text.encode()).hexdigest() == digest
-    # the sizes the docstring of ``_tables`` bounds
-    for letters in {_letters(x, y) for _, x, y in sweep}:
-        pool, index, solved = _tables(letters)
-        k = len(letters)
-        assert type(pool) is tuple and len(pool) == len(index) == 2 * k + 3 * k * k
-        assert all(pool[i] == m for m, i in index.items())
-        assert len(solved) <= _memo_bound(k)
-    assert _tables.cache_info().misses == built.misses
-
-
-def test_collapse_tables_stay_within_their_bound():
-    # over lambda = inf the seed (g_i, 1) has the letters (0, i): a new
-    # letter tuple for each i, more of them than the cache holds
-    ab = Alphabet(None)
-    maxsize = _tables.cache_info().maxsize
-    assert maxsize == 32  # the bound the docstring of ``_tables`` states
-    for i in range(1, maxsize + 9):
-        g = generator(ab, i)
-        d = collapse_witness(g, one(ab), 3)
-        assert d is not None and d == collapse_witness_elements(g, one(ab), 3)
-    assert _tables.cache_info().currsize <= maxsize
 
 
 def test_derivation_json_shape():
@@ -624,7 +585,7 @@ def _replay_outcome(verify, d, seed=None):
 
 @pytest.mark.parametrize("lam, radius", [(2, 2), (3, 1)])
 def test_replay_agrees_with_the_element_replay(lam, radius):
-    # every derivation the search returns on the ordered pairs of the
+    # every derivation collapse_witness returns on the ordered pairs of the
     # ball at depth 8, and forged copies of each, replayed on bare pairs
     # and with ``Element`` products: both pass, or both raise the same text
     other = Alphabet(5)
