@@ -9,10 +9,10 @@ the one before by a left or right multiplication or a swap.
 size, in closed form: it has at most three steps.  A depth budget below
 its length is a legal outcome, reported as None, never as an error.
 ``verify_derivation`` replays a chain on the bare pairs of its
-``Element``s, through ``core.mul_nf``.  The test suite keeps, as
-oracles, a breadth-first search over ``Element`` pairs with multipliers
-of size at most 2, whose depth bounds the shortest one from above, and
-the replay that multiplies ``Element``s.
+``Element``s, through ``core.mul_nf``.  The test suite keeps one
+oracle for each: a replay that multiplies ``Element``s, and a
+minimality search that tries every shorter chain with multipliers from
+a larger ball and finds none.
 """
 
 from __future__ import annotations

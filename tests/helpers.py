@@ -6,9 +6,8 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
 from itertools import product
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from polymon import (
     Alphabet,
     AlphabetMismatch,
     CofiniteNbhd,
-    EqualPair,
     Element,
     ball,
     element,
@@ -26,7 +24,7 @@ from polymon import (
     solve_axb,
     zero,
 )
-from polymon.collapse import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation, DerivationStep
+from polymon.collapse import LEFT_MULTIPLY, RIGHT_MULTIPLY, SEED, SYMMETRY, Derivation
 
 
 def run_python(code: str) -> str:
@@ -169,71 +167,6 @@ def reduce_stepwise(alphabet: Alphabet, word: Iterable[int], strategy: str = "le
         else:
             k = sum(1 for s in w if s < 0)
             return element(alphabet, [-s - 1 for s in reversed(w[:k])], [s - 1 for s in w[k:]])
-
-
-def multiplier_pool(a: Element, b: Element) -> list:
-    """Pool of the ``collapse_witness_elements`` oracle: the ball of radius 2
-    over the letters occurring in a, b plus one fresh letter (the smallest
-    non-occurring index, when the alphabet has one), in enumeration order
-    with Zero first, built from ``elements_of_size``.  The shortest
-    derivation may need a longer multiplier than any in it."""
-    letters = letters_of(a, b)
-    fresh = min(set(range(len(letters) + 1)) - letters)
-    if fresh in a.alphabet:
-        letters |= {fresh}
-    ab = a.alphabet
-    return [zero(ab)] + [x for total in range(3) for x in elements_of_size(ab, sorted(letters), total)]
-
-
-def collapse_witness_elements(a: Element, b: Element, max_depth: int = 8) -> Optional[Derivation]:
-    """Upper-bound oracle for ``collapse_witness``: a breadth-first search
-    over ``Element`` pairs with ``Element * Element`` and multipliers from
-    ``multiplier_pool`` only, which prunes diagonal pairs and keeps
-    first-discovery parents.  It finds the shortest derivation over that
-    pool, so whenever it finds one within a budget, ``collapse_witness``
-    finds one too, no deeper."""
-    if max_depth < 0:
-        raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
-    if a == b:
-        raise EqualPair(f"seed must identify two distinct elements, got {a} twice")
-    ab = a.alphabet
-    target = (zero(ab), one(ab))
-    seed = (a, b)
-    if seed == target:
-        return Derivation((DerivationStep(SEED, seed),))
-
-    pool = multiplier_pool(a, b)
-    parent: Dict[Tuple[Element, Element], Optional[tuple]] = {seed: None}
-    queue: deque = deque([(seed, 0)])
-    while queue:
-        state, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
-        x, y = state
-        moves = [((m * x, m * y), LEFT_MULTIPLY, m) for m in pool]
-        moves += [((x * m, y * m), RIGHT_MULTIPLY, m) for m in pool]
-        moves.append(((y, x), SYMMETRY, None))
-        for nxt, rule, m in moves:
-            if nxt[0] == nxt[1] or nxt in parent:
-                continue
-            parent[nxt] = (state, rule, m)
-            if nxt == target:
-                return _chain_elements(parent, seed, nxt)
-            queue.append((nxt, depth + 1))
-    return None
-
-
-def _chain_elements(parent: dict, seed: Tuple[Element, Element], final: Tuple[Element, Element]) -> Derivation:
-    hops = []
-    state = final
-    while parent[state] is not None:
-        prev, rule, m = parent[state]
-        hops.append(DerivationStep(rule, state, by=m))
-        state = prev
-    hops.append(DerivationStep(SEED, seed))
-    return Derivation(tuple(reversed(hops)))
 
 
 def verify_derivation_elements(d: Derivation, seed: Optional[Tuple[Element, Element]] = None) -> None:

@@ -270,6 +270,8 @@ CASES = {
          ""),
         (["collapse", "1", "0"], "", 0, "seed: 1 ~ 0\nsymmetry: 0 ~ 1\n", ""),
         (["collapse", "0", "a"], "", 0, "seed: 0 ~ a\nright-multiply a': 0 ~ 1\n", ""),
+        # c = a'b has two nonempty components; z is b, since a ends the first one
+        (["collapse", "a'b", "1"], "", 0, "seed: a'b ~ 1\nleft-multiply b: 0 ~ b\nright-multiply b': 0 ~ 1\n", ""),
     ],
     "test_collapse_json": [
         (["collapse", "a", "b", "--format", "json"], "", 0,
@@ -288,7 +290,7 @@ CASES = {
     "test_collapse_negative_depth_exits_1": [
         (["collapse", "a", "b", "--depth", "-1"], "", 1, "", "error: depth budget must be nonnegative, got -1\n"),
     ],
-    "test_collapse_depth_over_cap_exits_1": [
+    "test_collapse_large_depth_budget": [
         (["collapse", "a'a", "1", "--depth", "16"], "", 0,
          "seed: a'a ~ 1\nleft-multiply b: 0 ~ b\nright-multiply b': 0 ~ 1\n", ""),
         (["collapse", "c", "a", "--depth", str(10**30)], "", 1, "",
@@ -479,7 +481,7 @@ def test_eval_loads_only_what_it_uses():
     assert {"dataclasses", "json", "polymon.collapse", "polymon.green", "polymon.topology"}.isdisjoint(loaded.split())
 
 
-def test_collapse_loads_the_search():
+def test_collapse_loads_the_collapse_module():
     out = run_python("import sys\n"
                      "from polymon.cli import main\n"
                      "main(['collapse', \"a'a\", '1'])\n"

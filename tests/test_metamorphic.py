@@ -302,9 +302,9 @@ def collapse_pair(rng: random.Random):
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds)
 def test_collapse_depth_survives_inversion_and_renaming(seed):
-    # the pool is closed under inversion, which trades left moves for
-    # right ones, and renaming maps the pool's letters onto the renamed
-    # pair's; move order can differ, so only found-ness and depth compare
+    # inversion swaps the roles of L and R, and renaming maps the letters,
+    # the fresh letter z included, so the shortest depth stays; the moves
+    # can differ, so only found-ness and depth compare
     rng = random.Random(seed)
     perm, x, y = collapse_pair(rng)
     budget = rng.randint(1, 5)

@@ -11,11 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    collapse_witness_elements,
     elements_of_size,
     elements_st,
-    letters_of,
-    multiplier_pool,
     reduce_stepwise,
     verify_derivation_elements,
 )
@@ -340,51 +337,19 @@ def _inf_ball(letters, radius):
     return [zero(ab)] + [e for n in range(radius + 1) for e in elements_of_size(ab, letters, n)]
 
 
-def _check_against_the_oracle(x, y, budgets):
-    """The answer for (x, y) at each budget replays; it is None exactly
-    when the unbudgeted answer is longer than the budget, and otherwise
-    that answer; it is found whenever the radius-2 search of
-    ``collapse_witness_elements`` finds a derivation, and no deeper.
-    Returns whether that search finds none at the largest budget, or a
-    deeper one."""
-    full = collapse_witness(x, y, 8)
-    verify_derivation(full, (x, y))
-    for budget in budgets:
-        got = collapse_witness(x, y, budget)
-        want = collapse_witness_elements(x, y, budget)
-        assert got == (None if full.depth > budget else full), (x, y, budget)
-        assert want is None or (got is not None and got.depth <= want.depth), (x, y, budget)
-    return want is None or full.depth < want.depth
-
-
-# Over lambda = inf the letters a, c, g27 leave b as the pool's fresh letter.
-# The last count is of the pairs where the radius-2 search finds no
-# derivation within depth 8, or a deeper one.
-@pytest.mark.parametrize("lam, radius, pairs", [(2, 2, 306), (3, 1, 56), (None, 1, 56)])
-def test_collapse_matches_element_search(lam, radius, pairs):
-    elems = list(ball(Alphabet(lam), radius)) if lam else _inf_ball((0, 2, 27), radius)
-    seeds = [(x, y) for x in elems for y in elems if x != y]
-    assert len(seeds) == pairs
-    shallower = sum(_check_against_the_oracle(x, y, (0, 1, 2, 3, 8)) for x, y in seeds)
-    assert shallower == {2: 80, 3: 0, None: 0}[lam]
-
-
-def test_collapse_matches_element_search_on_radius_2_sample():
-    # over lambda = inf the letters a, c, g27 are not adjacent indices
-    shallower = []
-    for elems in (list(ball(Alphabet(3), 2)), _inf_ball((0, 2, 27), 2)):
-        seeds = random.Random(3).sample([(x, y) for x in elems for y in elems if x != y], 60)
-        shallower.append(sum(_check_against_the_oracle(x, y, (2, 3, 4)) for x, y in seeds))
-    assert shallower == [14, 14]
-
-
-@pytest.mark.parametrize("lam, radius, pool_radius", [(2, 2, 4), (3, 2, 3)])
+# Over lambda = inf the pairs use the letters a, c, g27, and the pool adds
+# b, the smallest letter that none of them uses.
+@pytest.mark.parametrize("lam, radius, pool_radius", [(2, 2, 4), (3, 2, 3), (None, 2, 3)])
 def test_collapse_is_shortest_over_a_larger_pool(lam, radius, pool_radius):
-    # every ordered pair of ball(lam, radius) against every chain of depth
-    # at most 2 with multipliers from ball(lam, pool_radius), on bare
-    # pairs: no chain reaches (0, 1) in fewer steps than the answer
-    ab = Alphabet(lam)
-    pool = [(m.u, m.v) for m in ball(ab, pool_radius)]
+    # every ordered pair of the radius ball against every chain of depth
+    # at most 2 with multipliers from the pool_radius ball, on bare pairs:
+    # no chain reaches (0, 1) in fewer steps than the answer, and each
+    # budget finds the answer exactly when it is no shorter
+    if lam:
+        elems, pool = list(ball(Alphabet(lam), radius)), ball(Alphabet(lam), pool_radius)
+    else:
+        elems, pool = _inf_ball((0, 2, 27), radius), _inf_ball((0, 1, 2, 27), pool_radius)
+    pool = [(m.u, m.v) for m in pool]
     zero_nf, one_nf = (None, None), ((), ())
     finishers = {}
 
@@ -397,11 +362,11 @@ def test_collapse_is_shortest_over_a_larger_pool(lam, radius, pool_radius):
         return ((x, y) == (one_nf, zero_nf) or any(mul_nf(*m, *x)[0] is None for m in left)
                 or any(mul_nf(*x, *m)[0] is None for m in right))
 
-    elems = list(ball(ab, radius))
     depths = collections.Counter()
     for a, b in [(a, b) for a in elems for b in elems if a != b]:
         d = collapse_witness(a, b)
         verify_derivation(d, (a, b))
+        assert [collapse_witness(a, b, k) for k in range(5)] == [d if k >= d.depth else None for k in range(5)]
         depths[d.depth] += 1
         x, y = (a.u, a.v), (b.u, b.v)
         assert d.depth == 0 or (x, y) != (zero_nf, one_nf)
@@ -436,7 +401,7 @@ def test_collapse_long_pairs_take_at_most_three_steps(seed, budget):
     assert d.depth == 0 or collapse_witness(x, y, d.depth - 1) is None
 
 
-def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
+def test_collapse_takes_at_most_eight_products(monkeypatch):
     # every ordered pair of ball(3, 2): at most eight products per pair,
     # two for the c of each orientation tried and two for each of the left
     # and the right step
@@ -457,22 +422,6 @@ def test_collapse_scan_multiplies_only_children_that_can_finish(monkeypatch):
         assert collapse_witness(x, y, 8) == d
         per_pair.append(len(calls) - before)
     assert max(per_pair) <= 8
-
-
-def test_multiplier_pool_order_and_size():
-    pool = multiplier_pool(A.inverse() * A, ONE)
-    assert [str(m) for m in pool[:6]] == ["0", "1", "a", "b", "a'", "b'"]
-    # both letters occur or are fresh, so the pool is the full radius-2 ball
-    assert len(pool) == 18
-    assert pool == [ZERO, ONE, *elements_of_size(AB2, [0, 1], 1), *elements_of_size(AB2, [0, 1], 2)]
-    assert len(set(pool)) == len(pool)
-
-
-def test_multiplier_pool_fresh_letter_only_when_available():
-    ab3 = Alphabet(3)
-    x = generator(ab3, 0)
-    pool = multiplier_pool(x.inverse() * x, one(ab3))
-    assert letters_of(*pool) == {0, 1}  # the occurring letter plus one fresh letter
 
 
 def test_derivation_json_shape():
@@ -593,7 +542,7 @@ def test_replay_agrees_with_the_element_replay(lam, radius):
     kinds = set()
     for x, y in [(x, y) for x in elems for y in elems if x != y]:
         d = collapse_witness(x, y, 8)
-        cases = [(d, (x, y)), (d, (y, x))] + [(f, None) for f in _forgeries(d, multiplier_pool(x, y), other)]
+        cases = [(d, (x, y)), (d, (y, x))] + [(f, None) for f in _forgeries(d, elems, other)]
         for forged, seed in cases:
             got = _replay_outcome(verify_derivation, forged, seed)
             assert got == _replay_outcome(verify_derivation_elements, forged, seed), (forged, seed)
