@@ -10,9 +10,12 @@ continuous: ``shrink_neighborhood`` produces, for a target neighborhood
 U of Zero, a smaller V whose image under both translations stays in U,
 using the closed-form one-sided solver on bare (u, v) pairs to know
 exactly which points to drop.  ``certify_translations`` does not call
-the shrink: it re-solves the same equations on bare pairs, drops the
+the shrink: it takes the bare pairs of the same equations, drops the
 pairs a proposed shrink excludes, and builds ``Element``s only for the
 survivors, the only points that can fail, which it checks with ``*``.
+The target neighborhood keeps the pairs of the last translation they
+were solved for, so a certificate after a shrink by the same a reads
+them there; otherwise it solves them.
 Neither enumerates a ball, so both work over the countable alphabet
 too; the test suite compares them with a ball scan.
 Multiplication as a function of two variables is not continuous at
@@ -23,21 +26,27 @@ target.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
-from .core import Alphabet, Element, NormalForm, _Value, enumeration_key
+from .core import Alphabet, Element, NormalForm, _set, _Value, enumeration_key
 from .errors import AlphabetMismatch, ZeroArgument
 from .green import _solve_left
 
 
 class CofiniteNbhd(_Value):
     """Neighborhood of Zero: everything except a finite set of nonzero
-    elements.  Membership: x in U iff x is Zero or x is not excluded."""
+    elements.  Membership: x in U iff x is Zero or x is not excluded.
 
-    __slots__ = _fields = ("alphabet", "excluded")
+    The slot ``_last`` holds (a, preimages) for the last translation a
+    that ``_preimages`` solved against this neighborhood.  It lies outside
+    ``_fields``, so equality, hash, repr, copy and pickle ignore it."""
+
+    __slots__ = ("alphabet", "excluded", "_last")
+    _fields = ("alphabet", "excluded")
 
     def __init__(self, alphabet: Alphabet, excluded: Iterable[Element]) -> None:
         super().__init__(alphabet, frozenset(excluded))
+        _set(self, "_last", (None, None))
         for f in self.excluded:
             if f.u is None:
                 raise ZeroArgument("Zero belongs to every neighborhood of Zero; it cannot be excluded")
@@ -55,19 +64,31 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
     return CofiniteNbhd(alphabet, excluded)
 
 
-def _preimages(a: Element, nbhd: CofiniteNbhd) -> Set[NormalForm]:
+def _preimages(a: Element, nbhd: CofiniteNbhd) -> FrozenSet[NormalForm]:
     """Bare pairs x with a*x or x*a excluded: the left solves a*x = f,
     and the left solves a'*x' = f' read back as x*a = f, for each
     excluded f.  Empty for a = Zero, whose translations are constantly
-    Zero; a must be over the neighborhood's alphabet."""
+    Zero; a must be over the neighborhood's alphabet.
+
+    The answer is kept in the neighborhood's one ``_last`` slot, so a
+    second call with the same a returns it without solving, and a call
+    with another a replaces it.  A shrink followed by its certificate
+    solves once, and the slot holds at most one answer, no larger than
+    the shrink's own result."""
     if a.alphabet != nbhd.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
-    found: Set[NormalForm] = set()
     if a.is_zero:
+        return frozenset()
+    last, found = nbhd._last
+    if a == last:
         return found
     ua, va = a.u, a.v
+    pairs: List[NormalForm] = []
     for f in nbhd.excluded:
-        found.update(_solve_left(ua, va, f.u, f.v), [(q, p) for p, q in _solve_left(va, ua, f.v, f.u)])
+        pairs += _solve_left(ua, va, f.u, f.v)
+        pairs += [(q, p) for p, q in _solve_left(va, ua, f.v, f.u)]
+    found = frozenset(pairs)
+    _set(nbhd, "_last", (a, found))
     return found
 
 
@@ -97,8 +118,10 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
 
     A counterexample has a*x = f or x*a = f for an excluded f, so it is
     one of the bare pairs the one-sided solver returns for those
-    equations.  Those pairs are re-solved here, not taken from a shrink,
-    and filtered as bare pairs: the ones ``shrunk`` excludes and the ones
+    equations.  Those pairs come from (a, target), never from
+    ``shrunk``: the target keeps the pairs of its last translation, so
+    after a shrink by the same a they are read, not solved again.  They
+    are filtered as bare pairs: the ones ``shrunk`` excludes and the ones
     beyond the radius are dropped.  Only the survivors become
     ``Element``s, and each is checked with ``*``.  No ball is built, so
     the cost is that of the solves at any radius, over any alphabet.  The

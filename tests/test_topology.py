@@ -1,9 +1,12 @@
 """Cofinite neighborhoods, translation shrinking and certificates, witness families."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
+import polymon.topology
 from helpers import certify_translations_enumerate, shrink_neighborhood_enumerate, shrink_neighborhood_solve
 from polymon import (
     Alphabet,
@@ -242,3 +245,85 @@ def test_nbhd_is_hashable_value_object():
     V = cofinite(AB2, [A, ONE])
     assert U == V and hash(U) == hash(V)
     assert isinstance(U, CofiniteNbhd)
+
+
+def test_shrink_then_certify_solves_each_preimage_once(monkeypatch):
+    calls = []
+    solve = polymon.topology._solve_left
+    monkeypatch.setattr(polymon.topology, "_solve_left", lambda *args: calls.append(args) or solve(*args))
+    ab = Alphabet(3)
+    U = cofinite(ab, ball(ab, 2).elements[1:12])
+    a, b = element(ab, (0,), (1, 2)), element(ab, (2, 1), ())
+    per_translation = 2 * len(U.excluded)
+    V = shrink_neighborhood(a, U)
+    assert certify_translations(a, U, V, 4) == []
+    assert certify_translations(a, U, U, 4)
+    assert len(calls) == per_translation
+    # another translation solves its own preimages once more
+    shrink_neighborhood(b, U)
+    certify_translations(b, U, U, 4)
+    assert len(calls) == 2 * per_translation
+    # the neighborhood holds one translation's preimages: a is solved again
+    assert shrink_neighborhood(a, U) == V
+    assert len(calls) == 3 * per_translation
+    # Zero's translations are constantly Zero, so nothing is solved for it
+    assert shrink_neighborhood(zero(ab), U) == U
+    assert certify_translations(zero(ab), U, U, 4) == []
+    assert len(calls) == 3 * per_translation
+
+
+SPARSE = (0, 2, 27)
+
+
+def test_interleaved_translations_never_read_another_ones_preimages():
+    # Over one target, a shrink by a comes between a certificate by b and
+    # the solve of its preimages.  Every answer must still be the oracles',
+    # and over the countable alphabet the sparse letters 0, 2, 27 must
+    # give the answers of letters 0, 1, 2 over lambda = 3, renamed.
+    rng = random.Random(59)
+    inf = Alphabet(None)
+
+    def sparse(x: Element) -> Element:
+        if x.is_zero:
+            return zero(inf)
+        return Element(inf, tuple(SPARSE[i] for i in x.u), tuple(SPARSE[i] for i in x.v))
+
+    cases = flagged = 0
+    for lam in (2, 3, None):
+        ab = Alphabet(lam or 3)
+        tab, lift = (inf, sparse) if lam is None else (ab, lambda x: x)
+        pool = ball(ab, 2).elements
+        for _ in range(4):
+            U = cofinite(ab, rng.sample(pool[1:], rng.randint(1, 8)))
+            target = cofinite(tab, map(lift, U.excluded))
+            for a, b in (rng.sample(pool, 2) for _ in range(5)):
+                Vb = shrink_neighborhood_solve(b, U)
+                assert shrink_neighborhood(lift(b), target) == cofinite(tab, map(lift, Vb.excluded))
+                for shrunk in (Vb, U, cofinite(ab)):
+                    Va = shrink_neighborhood(lift(a), target)
+                    assert Va == cofinite(tab, map(lift, shrink_neighborhood_solve(a, U).excluded))
+                    # the first radius reads after the shrink by a, the others after b
+                    for radius in (0, 2, 4):
+                        want = [(lift(x), side, lift(p)) for x, side, p in certify_translations_enumerate(b, U, shrunk, radius)]
+                        got = certify_translations(lift(b), target, cofinite(tab, map(lift, shrunk.excluded)), radius)
+                        assert got == want
+                        cases += 1
+                        flagged += bool(want)
+    assert (cases, flagged) == (540, 180)
+
+
+def test_filled_memo_stays_out_of_the_value():
+    U = cofinite(AB2, [ONE, A, B.inverse()])
+    shown = repr(U)
+    shrink_neighborhood(A, U)
+    assert U._last[0] == A
+    fresh = cofinite(AB2, [B.inverse(), A, ONE])
+    assert fresh._last == (None, None)
+    assert U == fresh and hash(U) == hash(fresh)
+    assert repr(U) == shown == repr(CofiniteNbhd(AB2, U.excluded))
+    for twin in (copy.copy(U), copy.deepcopy(U), pickle.loads(pickle.dumps(U))):
+        assert twin == U and twin._last == (None, None)
+    with pytest.raises(AttributeError, match="^CofiniteNbhd is immutable: cannot set or delete '_last'$"):
+        setattr(U, "_last", (None, None))
+    with pytest.raises(AttributeError):
+        del U._last
