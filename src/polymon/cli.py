@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Alphabet, make_alphabet, one, render_word
+from .core import Alphabet, make_alphabet, render_word
 from .errors import ExpressionSyntaxError, PolymonError
 
 
@@ -26,7 +26,7 @@ from .errors import ExpressionSyntaxError, PolymonError
 # Most elements `ball N` lists.  `export-dot N` draws one edge per element
 # and letter, and its edge count is held to the same cap.
 MAX_BALL_ELEMENTS = 10**6
-# Most pairs `witness K` prints; pair i has words of length i, so the
+# Most pairs `witness C K` prints; pair i has words of length i, so the
 # output grows with K squared.
 MAX_WITNESS_PAIRS = 1000
 
@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest size |x| the certificate checks (default 6)")
 
     p = add("witness", _witness,
-            f"joint-discontinuity pairs for a target: witness [C] K, K at most {MAX_WITNESS_PAIRS}")
-    p.add_argument("c", nargs="?", metavar="C")
+            f"joint-discontinuity pairs for a target: witness C K, K at most {MAX_WITNESS_PAIRS}")
+    p.add_argument("c", metavar="C")
     p.add_argument("k", type=int, metavar="K")
 
     p = add("collapse", _collapse, "derive (0, 1) from identifying A with B")
@@ -194,7 +194,7 @@ def _witness(args, alphabet: Alphabet) -> tuple:
     from .topology import joint_discontinuity_family
     if args.k > MAX_WITNESS_PAIRS:
         raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
-    c = one(alphabet) if args.c is None else _element(args.c, alphabet)
+    c = _element(args.c, alphabet)
     pairs = joint_discontinuity_family(c, args.k)
     return ("\n".join(f"{a} {b}" for a, b in pairs),
             {"target": c.to_json(), "pairs": [[a.to_json(), b.to_json()] for a, b in pairs]})

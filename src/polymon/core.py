@@ -80,7 +80,8 @@ _set = object.__setattr__  # writes a slot past _Value.__setattr__
 class _Value:
     """Immutable value with its fields, named in ``_fields``, in slots: equal
     only to an object of its class with equal fields, and hashed, shown and
-    pickled as those fields.  Setting or deleting attributes raises AttributeError."""
+    pickled as those fields; ``Element`` hashes its normal form alone and
+    ``Alphabet`` caches no hash.  Setting or deleting attributes raises AttributeError."""
 
     __slots__ = _fields = ()
 
@@ -109,15 +110,16 @@ class _Value:
 class Alphabet(_Value):
     """Generator alphabet; ``size=None`` means countably infinite.
 
-    Sizes below 2 are rejected: with one generator the relations force
-    the structure down to something degenerate (the bicyclic pattern),
-    and the normal-form machinery here is built for the general case.
+    Sizes below 2 are rejected because the closed form of
+    ``collapse_witness`` needs a second letter z, one that is not the
+    last letter of a given word.  ``*``, ``solve_axb``, the shrink and the
+    certificate all agree with their oracles on ball(1, 4); ROADMAP item 4
+    is the work of admitting size 1, the bicyclic monoid with zero.
     A size that is neither an int nor None is rejected as well, and so is
     a bool, which Python counts as an int; a bool is no letter either.
     """
 
-    __slots__ = ("size", "_hash")
-    _fields = ("size",)
+    __slots__ = _fields = ("size",)
 
     def __init__(self, size: Optional[int] = None) -> None:
         if size is not None and (not isinstance(size, int) or type(size) is bool):
@@ -125,13 +127,11 @@ class Alphabet(_Value):
         if size is not None and size < 2:
             raise TooFewGenerators(f"alphabet needs at least 2 letters, got {size}")
         _set(self, "size", size)
-        _set(self, "_hash", hash((size,)))
 
     def __eq__(self, other):
         return self.size == other.size if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _Value.__hash__  # a class that writes __eq__ is otherwise unhashable
 
     def __contains__(self, letter: int) -> bool:
         if not isinstance(letter, int) or type(letter) is bool or letter < 0:
@@ -166,9 +166,11 @@ def make_alphabet(size: "int | str | None") -> Alphabet:
 class Element(_Value):
     """One monoid element: Zero (u is None) or the normal form (u, v).
 
-    Instances are immutable and hashable, hashed as the tuple of their
-    fields; equality is structural on the normal form, which is unique, so
-    it coincides with equality in the monoid.  Direct construction skips letter
+    Instances are immutable and hashable, hashed as their normal form
+    (u, v) alone; equality is structural on the normal form, which is
+    unique, so it coincides with equality in the monoid, and it checks the
+    alphabet last.  Two elements over different alphabets with one normal
+    form share a hash and are unequal.  Direct construction skips letter
     validation; use the ``element``/``generator`` factories for unchecked input.
     """
 
@@ -187,7 +189,7 @@ class Element(_Value):
         return self.u == other.u and self.v == other.v and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.u, self.v))
+        return hash((self.u, self.v))
 
     # -- predicates ----------------------------------------------------
 

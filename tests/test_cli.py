@@ -209,36 +209,40 @@ CASES = {
          ""),
     ],
     "test_witness_unit_target": [
-        (["witness", "3"], "", 0, "a a'\naa a'a'\naaa a'a'a'\n", ""),
+        (["witness", "1", "3"], "", 0, "a a'\naa a'a'\naaa a'a'a'\n", ""),
     ],
     "test_witness_explicit_target": [
         (["witness", "a'b", "2"], "", 0, "a'a a'b\na'aa a'a'b\n", ""),
     ],
+    # an option between C and K: the first chunk of positionals goes to C, not K
+    "test_witness_option_between_target_and_count": [
+        (["witness", "a", "--lambda", "3", "2"], "", 0, "a a'a\naa a'a'a\n", ""),
+    ],
     "test_witness_json": [
-        (["witness", "1", "--format", "json"], "", 0,
+        (["witness", "1", "1", "--format", "json"], "", 0,
          '{"target": {"u": [], "v": []}, "pairs": [[{"u": [], "v": [0]}, {"u": [0], "v": []}]]}\n', ""),
     ],
     "test_witness_zero_count_exits_1": [
-        (["witness", "0"], "", 1, "", "error: need at least one pair, got k=0\n"),
+        (["witness", "1", "0"], "", 1, "", "error: need at least one pair, got k=0\n"),
     ],
     "test_witness_zero_target_exits_1": [
         (["witness", "0", "2"], "", 1, "", "error: witness families exist only for nonzero targets\n"),
     ],
     "test_witness_usage_errors": [
         (["witness", "a", "b", "3"], "", 2, "",
-         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] [C] K\n"
+         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] C K\n"
           "polymon witness: error: argument K: invalid int value: 'b'\n")),
         (["witness", "1", "k"], "", 2, "",
-         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] [C] K\n"
+         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] C K\n"
           "polymon witness: error: argument K: invalid int value: 'k'\n")),
         (["witness", "1", "2", "3"], "", 2, "", USAGE + "polymon: error: unrecognized arguments: 3\n"),
         (["witness"], "", 2, "",
-         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] [C] K\n"
-          "polymon witness: error: the following arguments are required: K\n")),
+         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] C K\n"
+          "polymon witness: error: the following arguments are required: C, K\n")),
     ],
     "test_witness_over_cap_exits_1": [
-        (["witness", "1000"], "", 0, "".join("a" * k + " " + "a'" * k + "\n" for k in range(1, 1001)), ""),
-        (["witness", "1001"], "", 1, "", "error: K = 1001 is above the cap of 1000 pairs\n"),
+        (["witness", "1", "1000"], "", 0, "".join("a" * k + " " + "a'" * k + "\n" for k in range(1, 1001)), ""),
+        (["witness", "1", "1001"], "", 1, "", "error: K = 1001 is above the cap of 1000 pairs\n"),
         # checked before the target is evaluated: c is no letter over lambda = 2
         (["witness", "c", str(10**30)], "", 1, "",
          "error: K = 1000000000000000000000000000000 is above the cap of 1000 pairs\n"),
@@ -389,8 +393,8 @@ CASES = {
           "                          [--exclude EXCLUDE] [--radius RADIUS]\n"
           "                          a\n"
           "polymon continuity: error: argument --radius: invalid int value: 'x'\n")),
-        (["witness", "a"], "", 2, "",
-         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] [C] K\n"
+        (["witness", "1", "a"], "", 2, "",
+         ("usage: polymon witness [-h] [--lambda N|inf] [--format {text,json}] C K\n"
           "polymon witness: error: argument K: invalid int value: 'a'\n")),
         (["collapse", "a", "b", "--depth", "x"], "", 2, "",
          ("usage: polymon collapse [-h] [--lambda N|inf] [--format {text,json}]\n"
@@ -501,7 +505,7 @@ def test_ball_over_cap_exits_1(capsys, monkeypatch):
 
 
 # witness targets by argv, each with its normal form (u, v)
-WITNESS_TARGETS = {(): ((), ()), ("a'b",): ((0,), (1,)), ("b'a'a",): ((0, 1), (0,)), ("g30",): ((), (30,))}
+WITNESS_TARGETS = {("1",): ((), ()), ("a'b",): ((0,), (1,)), ("b'a'a",): ((0, 1), (0,)), ("g30",): ((), (30,))}
 
 
 def _witness_stdout(u, v, k: int, fmt: str) -> str:
@@ -522,8 +526,8 @@ def _witness_stdout(u, v, k: int, fmt: str) -> str:
 
 
 def test_witness_output_is_pinned(capsys):
-    for lam, targets in (("2", [(), ("a'b",), ("b'a'a",)]), ("3", [(), ("a'b",), ("b'a'a",)]),
-                         ("inf", [(), ("a'b",), ("b'a'a",), ("g30",)])):
+    for lam, targets in (("2", [("1",), ("a'b",), ("b'a'a",)]), ("3", [("1",), ("a'b",), ("b'a'a",)]),
+                         ("inf", [("1",), ("a'b",), ("b'a'a",), ("g30",)])):
         for c in targets:
             for k in ("1", "7", "40"):
                 for fmt in ("text", "json"):

@@ -339,10 +339,19 @@ def test_element_equality_needs_an_element_over_an_equal_alphabet():
     assert rclass_key(x) != (x.u,)
     # a second, equal alphabet object: equal values, equal hashes, today's hash
     y = element(Alphabet(2), (0,), (1,))
-    assert y == x and hash(y) == hash(x) == hash((AB2, (0,), (1,)))
-    assert hash(zero(Alphabet(2))) == hash(ZERO) == hash((AB2, None, None))
+    assert y == x and hash(y) == hash(x) == hash((y.u, y.v))
+    assert hash(zero(Alphabet(2))) == hash(ZERO) == hash((None, None))
     assert hash(Alphabet(3)) == hash(AB3) == hash((3,))
     assert hash(Alphabet(None)) == hash((None,))
+
+
+def test_one_normal_form_over_two_alphabets_shares_a_hash_but_no_key():
+    for x, y in [(element(Alphabet(2), (0,), (1,)), element(Alphabet(3), (0,), (1,))),
+                 (zero(Alphabet(2)), zero(Alphabet(3)))]:
+        assert x != y and hash(x) == hash(y)
+        assert len({x, y}) == 2
+        d = {x: "x", y: "y"}
+        assert len(d) == 2 and (d[x], d[y]) == ("x", "y")
 
 
 def test_alphabet_repr():
