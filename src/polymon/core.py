@@ -134,18 +134,27 @@ class Alphabet(_Value):
     __hash__ = _Value.__hash__  # a class that writes __eq__ is otherwise unhashable
 
     def __contains__(self, letter: int) -> bool:
+        """Whether ``letter`` is a letter of this alphabet: an int that is
+        not a bool (int subclasses such as an ``IntEnum`` count), at least 0
+        and below the size.  This is the definition of a letter; the inline
+        tests of ``check_word`` and ``rewriting.reduce`` must agree with it,
+        and the tests hold them to it."""
         if not isinstance(letter, int) or type(letter) is bool or letter < 0:
             return False
         return self.size is None or letter < self.size
 
     def check_word(self, word: Sequence[int]) -> Word:
         """Validate every letter and return the word as a tuple.  An unknown
-        index >= 0 is named as the parser names it; any other value by repr."""
+        index >= 0 is named as the parser names it; any other value by repr.
+        Each letter is tested inline, not by a call to ``in``: an exact int
+        skips the type tests, and the range test reads the size once."""
         w = tuple(word)
+        size = self.size
         for i in w:
-            if i not in self:
+            if (type(i) is not int and (type(i) is bool or not isinstance(i, int))
+                    or i < 0 or size is not None and i >= size):
                 named = isinstance(i, int) and type(i) is not bool and i >= 0
-                raise UnknownLetter(f"letter {letter_name(i) if named else repr(i)} not in alphabet of size {self.size}")
+                raise UnknownLetter(f"letter {letter_name(i) if named else repr(i)} not in alphabet of size {size}")
         return w
 
 

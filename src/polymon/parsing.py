@@ -154,11 +154,13 @@ def evaluate(word: Optional[FreeWord], alphabet: Alphabet) -> Element:
 
 def parse_positive_word(text: str, alphabet: Alphabet) -> Word:
     """Letters-only text (e.g. 'ca') to a positive word; '' is the empty word."""
+    size = alphabet.size
     letters = []
     for kind, pos, index in tokenize(text):
         if kind != "LETTER":
             raise ExpressionSyntaxError("positive words are letters only", pos)
-        if index not in alphabet:
+        # tokenize yields only int indices >= 0
+        if size is not None and index >= size:
             raise _unknown(index, pos, alphabet)
         letters.append(index)
     return tuple(letters)

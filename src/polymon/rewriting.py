@@ -36,7 +36,7 @@ def free_word(x: Element) -> FreeWord:
     """Signed-letter string of a nonzero element: u reversed-inverted, then v."""
     if x.u is None:
         raise ZeroArgument("zero has no free-word form")
-    return tuple(-(i + 1) for i in reversed(x.u)) + tuple(i + 1 for i in x.v)
+    return tuple([-(i + 1) for i in reversed(x.u)] + [i + 1 for i in x.v])
 
 
 def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
@@ -50,13 +50,15 @@ def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
     ``pos`` is None and the pass only checks the letters left.  A letter
     that is no int, or is a bool, raises ``UnknownLetter`` before ``abs``
     sees it, as 0 and an index outside the alphabet do; an exact int skips
-    the type tests."""
+    the type tests.  The range test is inline against the alphabet's size,
+    read once, and agrees with ``abs(s) - 1 in alphabet``."""
+    size = alphabet.size
     inv: List[int] = []
     pos: Optional[List[int]] = []
     for s in word:
         if (type(s) is not int and (type(s) is bool or not isinstance(s, int))
-                or s == 0 or abs(s) - 1 not in alphabet):
-            raise UnknownLetter(f"signed letter {s!r} invalid for alphabet of size {alphabet.size}")
+                or s == 0 or size is not None and not -size <= s <= size):
+            raise UnknownLetter(f"signed letter {s!r} invalid for alphabet of size {size}")
         if pos is None:
             continue
         if s > 0:

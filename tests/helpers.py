@@ -38,6 +38,18 @@ def run_python(code: str) -> str:
     return done.stdout
 
 
+class Letter(int):
+    """An int subclass other than bool: a letter like the int it equals."""
+
+
+def letter_probes(size: Optional[int]) -> list:
+    """Values to hold a letter check against ``Alphabet.__contains__``:
+    the ints from -3 to size + 2 (to 5 for an infinite alphabet), +-10**30,
+    both bools, values that are no int, and an int-subclass instance."""
+    top = 3 if size is None else size
+    return [*range(-3, top + 3), 10**30, -10**30, True, False, 1.0, None, "a", (1,), Letter(1)]
+
+
 def words_st(lam: int, max_len: int = 4):
     return st.lists(st.integers(0, lam - 1), max_size=max_len).map(tuple)
 

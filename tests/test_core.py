@@ -1,6 +1,7 @@
 """Core arithmetic: alphabets, normal forms, products, downsets, rendering."""
 
 import copy
+import enum
 import pickle
 import random
 from itertools import product as iproduct
@@ -8,7 +9,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given
 
-from helpers import elements_of_size, elements_st, random_element
+from helpers import Letter, elements_of_size, elements_st, letter_probes, random_element
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -18,6 +19,7 @@ from polymon import (
     TooFewGenerators,
     UnknownLetter,
     ZeroArgument,
+    act,
     ball,
     cofinite,
     element,
@@ -101,6 +103,38 @@ def test_alphabet_membership():
     assert 2 not in AB2 and -1 not in AB2
     inf = Alphabet(None)
     assert 10**9 in inf and -1 not in inf
+    # ``in`` defines a letter; check_word's inline test must agree with it
+    for size in (2, 3, None):
+        ab = Alphabet(size)
+        for v in letter_probes(size):
+            named = isinstance(v, int) and type(v) is not bool and v >= 0
+            assert (v in ab) == (named and (size is None or v < size))
+            if v in ab:
+                assert ab.check_word((v,)) == (v,)
+                continue
+            with pytest.raises(UnknownLetter) as exc:
+                ab.check_word((v,))
+            shown = letter_name(v) if named else repr(v)
+            assert str(exc.value) == f"letter {shown} not in alphabet of size {size}"
+
+
+def test_int_subclass_letters_are_letters():
+    # an int subclass other than bool is the letter it equals, on every path
+    Named = enum.IntEnum("Named", "A B C D E", start=0)
+
+    def outcome(call):
+        try:
+            return call()
+        except UnknownLetter:
+            return UnknownLetter
+
+    for ab in (AB2, AB3, Alphabet(None)):
+        x = element(ab, (0,), (1,))
+        for k, wrapped in [(k, Letter(k)) for k in range(-1, 5)] + [(int(n), n) for n in Named]:
+            assert (wrapped in ab) == (k in ab)
+            for call in (lambda i: generator(ab, i), lambda i: element(ab, (i, 0), (i,)),
+                         lambda i: act(x, (i, 0)), lambda i: reduce(ab, (i, -1))):
+                assert outcome(lambda: call(wrapped)) == outcome(lambda: call(k))
 
 
 def test_letter_names():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     elements_of_size,
     elements_st,
+    letter_probes,
     reduce_stepwise,
     verify_derivation_elements,
 )
@@ -77,6 +78,18 @@ def test_reduce_validates_letters():
         with pytest.raises(UnknownLetter) as exc:
             reduce(AB2, [1, bad])
         assert str(exc.value) == f"signed letter {shown} invalid for alphabet of size 2"
+    # ``in`` is the oracle of reduce's inline test, on s = v and s = -v
+    for size in (2, 3, None):
+        ab = Alphabet(size)
+        for v in letter_probes(size):
+            for s in (v, -v) if isinstance(v, int) else (v,):
+                bad = not isinstance(s, int) or type(s) is bool or s == 0 or abs(s) - 1 not in ab
+                if not bad:
+                    assert reduce(ab, (s,)) == (generator(ab, s - 1) if s > 0 else generator(ab, -s - 1).inverse())
+                    continue
+                with pytest.raises(UnknownLetter) as exc:
+                    reduce(ab, (s,))
+                assert str(exc.value) == f"signed letter {s!r} invalid for alphabet of size {size}"
 
 
 def test_reduce_reads_a_one_shot_iterator():
