@@ -2,17 +2,18 @@
 
 Compactify the discrete monoid by declaring a set open at Zero exactly
 when its complement is finite.  A ``CofiniteNbhd`` stores that finite
-complement (the excluded nonzero elements) and nothing else, so every
-check here is exact and finite.
+complement, as the bare (u, v) pairs of the excluded nonzero elements,
+and nothing else, so every check here is exact and finite.
 
 In this model each one-sided translation x -> a*x and x -> x*a is
 continuous: ``shrink_neighborhood`` produces, for a target neighborhood
 U of Zero, a smaller V whose image under both translations stays in U,
 using the closed-form one-sided solver on bare (u, v) pairs to know
-exactly which points to drop.  ``certify_translations`` does not call
-the shrink: it takes the bare pairs of the same equations, drops the
-pairs a proposed shrink excludes, and builds ``Element``s only for the
-survivors, the only points that can fail, which it checks with ``*``.
+exactly which points to drop; it builds no ``Element``.
+``certify_translations`` does not call the shrink: it takes the bare
+pairs of the same equations, drops the pairs a proposed shrink excludes,
+and builds ``Element``s only for the survivors, the only points that can
+fail, which it checks with ``*``.
 The target neighborhood keeps the pairs of the last translation they
 were solved for, so a certificate after a shrink by the same a reads
 them there; otherwise it solves them.
@@ -35,26 +36,49 @@ from .green import _solve_left
 
 class CofiniteNbhd(_Value):
     """Neighborhood of Zero: everything except a finite set of nonzero
-    elements.  Membership: x in U iff x is Zero or x is not excluded.
+    elements, stored as their bare normal forms in ``pairs``.  Membership:
+    x in U iff x is Zero or x's pair (u, v) is not in ``pairs``;
+    ``excluded`` builds the excluded ``Element``s on demand.
+
+    ``CofiniteNbhd(alphabet, excluded)`` checks every excluded element;
+    ``_of_pairs`` takes pairs already known to be nonzero normal forms
+    over the alphabet and checks nothing.  The shrink builds its result
+    that way, and copy and pickle rebuild through it.
 
     The slot ``_last`` holds (a, preimages) for the last translation a
     that ``_preimages`` solved against this neighborhood.  It lies outside
     ``_fields``, so equality, hash, repr, copy and pickle ignore it."""
 
-    __slots__ = ("alphabet", "excluded", "_last")
-    _fields = ("alphabet", "excluded")
+    __slots__ = ("alphabet", "pairs", "_last")
+    _fields = ("alphabet", "pairs")
 
     def __init__(self, alphabet: Alphabet, excluded: Iterable[Element]) -> None:
-        super().__init__(alphabet, frozenset(excluded))
-        _set(self, "_last", (None, None))
-        for f in self.excluded:
+        pairs = []
+        for f in excluded:
             if f.u is None:
                 raise ZeroArgument("Zero belongs to every neighborhood of Zero; it cannot be excluded")
             if f.alphabet is not alphabet and f.alphabet != alphabet:
                 raise AlphabetMismatch(f"excluded element {f} over a different alphabet")
+            pairs.append((f.u, f.v))
+        super().__init__(alphabet, frozenset(pairs))
+        _set(self, "_last", (None, None))
+
+    @classmethod
+    def _of_pairs(cls, alphabet: Alphabet, pairs: FrozenSet[NormalForm]) -> "CofiniteNbhd":
+        nbhd = object.__new__(cls)
+        _Value.__init__(nbhd, alphabet, pairs)
+        _set(nbhd, "_last", (None, None))
+        return nbhd
+
+    def __reduce__(self):
+        return CofiniteNbhd._of_pairs, (self.alphabet, self.pairs)
+
+    @property
+    def excluded(self) -> FrozenSet[Element]:
+        return frozenset([Element(self.alphabet, u, v) for u, v in self.pairs])
 
     def __contains__(self, x: Element) -> bool:
-        return x.is_zero or x not in self.excluded
+        return x.u is None or (x.u, x.v) not in self.pairs
 
     def excluded_sorted(self) -> List[Element]:
         return sorted(self.excluded, key=enumeration_key)
@@ -67,7 +91,7 @@ def cofinite(alphabet: Alphabet, excluded: Iterable[Element] = ()) -> CofiniteNb
 def _preimages(a: Element, nbhd: CofiniteNbhd) -> FrozenSet[NormalForm]:
     """Bare pairs x with a*x or x*a excluded: the left solves a*x = f,
     and the left solves a'*x' = f' read back as x*a = f, for each
-    excluded f.  Empty for a = Zero, whose translations are constantly
+    excluded pair f.  Empty for a = Zero, whose translations are constantly
     Zero; a must be over the neighborhood's alphabet.
 
     The answer is kept in the neighborhood's one ``_last`` slot, so a
@@ -84,9 +108,9 @@ def _preimages(a: Element, nbhd: CofiniteNbhd) -> FrozenSet[NormalForm]:
         return found
     ua, va = a.u, a.v
     pairs: List[NormalForm] = []
-    for f in nbhd.excluded:
-        pairs += _solve_left(ua, va, f.u, f.v)
-        pairs += [(q, p) for p, q in _solve_left(va, ua, f.v, f.u)]
+    for fu, fv in nbhd.pairs:
+        pairs += _solve_left(ua, va, fu, fv)
+        pairs += [(q, p) for p, q in _solve_left(va, ua, fv, fu)]
     found = frozenset(pairs)
     _set(nbhd, "_last", (a, found))
     return found
@@ -101,13 +125,15 @@ def shrink_neighborhood(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbhd:
     O(|excluded| * |a|) and the result stays that small.  The solutions
     use only letters of a and f, so the countable alphabet works too.
 
+    The result is the union of the target's pairs and the solutions, as
+    bare pairs: no ``Element`` is built, and nothing is checked again,
+    since every solution is a nonzero normal form over those letters.
+
     For a = Zero both translations are constantly Zero and nothing is
     dropped.  Like the certificate, this needs a over the neighborhood's
     alphabet.
     """
-    dropped = set(nbhd.excluded)
-    dropped.update(Element(a.alphabet, u, v) for u, v in _preimages(a, nbhd))
-    return CofiniteNbhd(nbhd.alphabet, dropped)
+    return CofiniteNbhd._of_pairs(nbhd.alphabet, nbhd.pairs | _preimages(a, nbhd))
 
 
 def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, radius: int) -> List[tuple]:
@@ -121,7 +147,7 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     equations.  Those pairs come from (a, target), never from
     ``shrunk``: the target keeps the pairs of its last translation, so
     after a shrink by the same a they are read, not solved again.  They
-    are filtered as bare pairs: the ones ``shrunk`` excludes and the ones
+    are filtered as bare pairs: the ones in ``shrunk.pairs`` and the ones
     beyond the radius are dropped.  Only the survivors become
     ``Element``s, and each is checked with ``*``.  No ball is built, so
     the cost is that of the solves at any radius, over any alphabet.  The
@@ -134,9 +160,8 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if shrunk.alphabet != nbhd.alphabet:
         raise AlphabetMismatch(f"{shrunk.alphabet} vs {nbhd.alphabet}")
-    # candidates are nonzero and over the shared alphabet, so x in shrunk
-    # exactly when x's bare pair is not excluded from it
-    candidates = _preimages(a, nbhd) - {(f.u, f.v) for f in shrunk.excluded}
+    # candidates are nonzero, so x is in shrunk exactly when its pair is not in shrunk.pairs
+    candidates = _preimages(a, nbhd) - shrunk.pairs
     points = [Element(a.alphabet, u, v) for u, v in candidates if len(u) + len(v) <= radius]
     bad: List[tuple] = []
     for x in sorted(points, key=enumeration_key):

@@ -133,11 +133,12 @@ def shrink_neighborhood_enumerate(a: Element, nbhd: CofiniteNbhd) -> CofiniteNbh
     silently truncating the answer.
     """
     letters = range(nbhd.alphabet.size)
-    bound = a.size + max((f.size for f in nbhd.excluded), default=0)
-    dropped = set(nbhd.excluded)
+    excluded = nbhd.excluded  # built on each read
+    bound = a.size + max((f.size for f in excluded), default=0)
+    dropped = set(excluded)
     for total in range(bound + 3):
         for x in elements_of_size(nbhd.alphabet, letters, total):
-            if a * x in nbhd.excluded or x * a in nbhd.excluded:
+            if a * x in excluded or x * a in excluded:
                 assert total <= bound, f"solution {x} of size {total} above bound {bound}"
                 dropped.add(x)
     return CofiniteNbhd(nbhd.alphabet, frozenset(dropped))

@@ -339,7 +339,7 @@ VALUES = {
     "Ball": (ball(AB2, 1), "radius"),
     "DerivationStep": (DerivationStep("seed", (A, ONE)), "rule"),
     "Derivation": (Derivation((DerivationStep("seed", (A, ONE)),)), "steps"),
-    "CofiniteNbhd": (cofinite(AB2, [A, B]), "excluded"),
+    "CofiniteNbhd": (cofinite(AB2, [A, B]), "pairs"),
 }
 
 

@@ -327,3 +327,53 @@ def test_filled_memo_stays_out_of_the_value():
         setattr(U, "_last", (None, None))
     with pytest.raises(AttributeError):
         del U._last
+
+
+def test_unchecked_shrinks_are_checked_values():
+    # The shrink builds its result from bare pairs and checks none of them.
+    # Each result must equal the value the checked constructor builds from
+    # its excluded points, hold only nonzero pairs over the letters of a and
+    # the target, and answer membership as its excluded points say.
+    rng = random.Random(61)
+    inf = Alphabet(None)
+
+    def sparse(x: Element) -> Element:
+        if x.is_zero:
+            return zero(inf)
+        return Element(inf, tuple(SPARSE[i] for i in x.u), tuple(SPARSE[i] for i in x.v))
+
+    shrinks = 0
+    for lam in (2, 3, None):
+        ab = Alphabet(lam or 3)
+        tab, lift = (inf, sparse) if lam is None else (ab, lambda x: x)
+        letters = set(SPARSE if lam is None else range(lam))
+        pool = ball(ab, 2).elements
+        points = [lift(x) for x in ball(ab, 4)]
+        assert points[0].is_zero
+        for _ in range(4):
+            U = cofinite(tab, map(lift, rng.sample(pool[1:], rng.randint(0, 8))))
+            for a in rng.sample(pool, 6):
+                V = shrink_neighborhood(lift(a), U)
+                checked = CofiniteNbhd(U.alphabet, V.excluded)
+                assert V == checked and hash(V) == hash(checked)
+                assert U.pairs <= V.pairs
+                for u, v in V.pairs:
+                    assert u is not None and v is not None
+                    assert set(u) | set(v) <= letters
+                excluded = V.excluded
+                for x in points:
+                    assert (x in V) == (x.is_zero or x not in excluded)
+                shrinks += 1
+    assert shrinks == 72
+
+
+def test_unchecked_shrink_copies_and_pickles_to_equal_values():
+    U = cofinite(AB2, [ONE, A, B.inverse()])
+    V = shrink_neighborhood(A, U)
+    shrink_neighborhood(B, V)
+    assert V._last[0] == B
+    for twin in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
+        assert type(twin) is CofiniteNbhd
+        assert twin == V and hash(twin) == hash(V) and twin.pairs == V.pairs
+        assert twin == CofiniteNbhd(AB2, V.excluded)
+        assert twin._last == (None, None)
