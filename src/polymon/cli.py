@@ -3,7 +3,9 @@
 Exit status: 0 success (including a collapse whose derivation is longer
 than the depth budget), 1 domain error, unwritable output file or an
 input over a size cap, 2 syntax/usage error.  Every call is a fresh
-process, so each subcommand imports only the modules it uses.
+process, so the CLI reaches each library name through the package, whose
+loader imports a submodule on the first use of one of its names: each
+subcommand loads only the modules it uses.
 
 Argparse does the dispatch: each subcommand's parser carries its handler
 as ``run``, the handler returns its answer as text and as a JSON object,
@@ -16,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Alphabet, make_alphabet, render_word
-from .errors import ExpressionSyntaxError, PolymonError
+import polymon
 
 
 # Size caps, checked before any work starts; an input over a cap exits 1.
@@ -33,7 +34,7 @@ MAX_WITNESS_PAIRS = 1000
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="alphabet", type=make_alphabet, default="2", metavar="N|inf",
+    common.add_argument("--lambda", dest="alphabet", type=polymon.make_alphabet, default="2", metavar="N|inf",
                         help="alphabet size, an integer >= 2 or 'inf' (default 2)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
@@ -93,9 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _element(text: str, alphabet: Alphabet):
-    from .parsing import evaluate, parse
-    return evaluate(parse(text, alphabet), alphabet)
+def _element(text: str, alphabet: polymon.Alphabet):
+    return polymon.evaluate(polymon.parse(text, alphabet), alphabet)
 
 
 def _emit(args, text: str, obj) -> None:
@@ -110,63 +110,56 @@ def _element_list(elems, sep: str = ", ") -> tuple:
     return sep.join(str(e) for e in elems), [e.to_json() for e in elems]
 
 
-def _eval(args, alphabet: Alphabet) -> tuple:
+def _eval(args, alphabet: polymon.Alphabet) -> tuple:
     x = _element(args.expr, alphabet)
     return str(x), x.to_json()
 
 
-def _solve(args, alphabet: Alphabet) -> tuple:
-    from .green import solve_axb
-    return _element_list(solve_axb(_element(args.a, alphabet), _element(args.b, alphabet),
-                                   _element(args.c, alphabet)))
+def _solve(args, alphabet: polymon.Alphabet) -> tuple:
+    return _element_list(polymon.solve_axb(_element(args.a, alphabet), _element(args.b, alphabet),
+                                           _element(args.c, alphabet)))
 
 
-def _downset(args, alphabet: Alphabet) -> tuple:
+def _downset(args, alphabet: polymon.Alphabet) -> tuple:
     return _element_list(_element(args.expr, alphabet).downset())
 
 
-def _rclass(args, alphabet: Alphabet) -> tuple:
-    from .green import rclass_key
-    key = rclass_key(_element(args.expr, alphabet))
+def _rclass(args, alphabet: polymon.Alphabet) -> tuple:
+    key = polymon.rclass_key(_element(args.expr, alphabet))
     return str(key), key.to_json()
 
 
-def _ball(args, alphabet: Alphabet) -> tuple:
-    from .green import ball
+def _ball(args, alphabet: polymon.Alphabet) -> tuple:
     _check_ball(alphabet, args.radius, "elements", 1)
-    return _element_list(ball(alphabet, args.radius), "\n")
+    return _element_list(polymon.ball(alphabet, args.radius), "\n")
 
 
-def _act(args, alphabet: Alphabet) -> tuple:
-    from .green import act
-    from .parsing import parse_positive_word
-    result = act(_element(args.expr, alphabet), parse_positive_word(args.word, alphabet))
+def _act(args, alphabet: polymon.Alphabet) -> tuple:
+    result = polymon.act(_element(args.expr, alphabet), polymon.parse_positive_word(args.word, alphabet))
     if result is None:
         return "undefined", {"undefined": True}
-    return render_word(result), {"word": list(result)}
+    return polymon.render_word(result), {"word": list(result)}
 
 
-def _check_ball(alphabet: Alphabet, radius: int, what: str, per_element: int) -> None:
+def _check_ball(alphabet: polymon.Alphabet, radius: int, what: str, per_element: int) -> None:
     """Reject a radius whose ball, counted per_element times, exceeds
     MAX_BALL_ELEMENTS.  Infinite alphabets and negative radii are left
     to ``ball`` to reject."""
-    from .green import ball_cardinality
     lam = alphabet.size
     if lam is None or radius < 0:
         return
     # |ball(n)| >= 2**n, so any radius past the cap's bit length is over it
-    count = ball_cardinality(lam, min(radius, MAX_BALL_ELEMENTS.bit_length())) * per_element
+    count = polymon.ball_cardinality(lam, min(radius, MAX_BALL_ELEMENTS.bit_length())) * per_element
     if count > MAX_BALL_ELEMENTS:
         raise ValueError(f"radius {radius} over {lam} letters is above the cap of {MAX_BALL_ELEMENTS} {what}")
 
 
-def _continuity(args, alphabet: Alphabet) -> tuple:
-    from .topology import certify_translations, cofinite, shrink_neighborhood
+def _continuity(args, alphabet: polymon.Alphabet) -> tuple:
     a = _element(args.a, alphabet)
     items = [s for s in (piece.strip() for piece in args.exclude.split(",")) if s]
-    target = cofinite(alphabet, [_element(s, alphabet) for s in items])
-    shrunk = shrink_neighborhood(a, target)
-    bad = certify_translations(a, target, shrunk, args.radius)
+    target = polymon.cofinite(alphabet, [_element(s, alphabet) for s in items])
+    shrunk = polymon.shrink_neighborhood(a, target)
+    bad = polymon.certify_translations(a, target, shrunk, args.radius)
     trivial = a.is_zero
     in_text, in_json = _element_list(target.excluded_sorted())
     out_text, out_json = _element_list(shrunk.excluded_sorted())
@@ -190,19 +183,17 @@ def _continuity(args, alphabet: Alphabet) -> tuple:
     }
 
 
-def _witness(args, alphabet: Alphabet) -> tuple:
-    from .topology import joint_discontinuity_family
+def _witness(args, alphabet: polymon.Alphabet) -> tuple:
     if args.k > MAX_WITNESS_PAIRS:
         raise ValueError(f"K = {args.k} is above the cap of {MAX_WITNESS_PAIRS} pairs")
     c = _element(args.c, alphabet)
-    pairs = joint_discontinuity_family(c, args.k)
+    pairs = polymon.joint_discontinuity_family(c, args.k)
     return ("\n".join(f"{a} {b}" for a, b in pairs),
             {"target": c.to_json(), "pairs": [[a.to_json(), b.to_json()] for a, b in pairs]})
 
 
-def _collapse(args, alphabet: Alphabet) -> tuple:
-    from .collapse import collapse_witness
-    derivation = collapse_witness(_element(args.a, alphabet), _element(args.b, alphabet), args.depth)
+def _collapse(args, alphabet: polymon.Alphabet) -> tuple:
+    derivation = polymon.collapse_witness(_element(args.a, alphabet), _element(args.b, alphabet), args.depth)
     if derivation is None:
         return f"not found within depth {args.depth}", {"found": False, "max_depth": args.depth}
     lines = []
@@ -214,11 +205,10 @@ def _collapse(args, alphabet: Alphabet) -> tuple:
     return "\n".join(lines), {"found": True, "depth": derivation.depth, "steps": derivation.to_json()["steps"]}
 
 
-def _export_dot(args, alphabet: Alphabet) -> tuple:
-    from .green import ball, cayley_dot
+def _export_dot(args, alphabet: polymon.Alphabet) -> tuple:
     _check_ball(alphabet, args.radius, "edges", alphabet.size)
-    b = ball(alphabet, args.radius)
-    dot = cayley_dot(b)
+    b = polymon.ball(alphabet, args.radius)
+    dot = polymon.cayley_dot(b)
     with open(args.file, "w") as fh:
         fh.write(dot)
     # one edge x -> x*g per element and letter; x*g leaves the ball
@@ -230,7 +220,7 @@ def _export_dot(args, alphabet: Alphabet) -> tuple:
             {"file": args.file, "nodes": n_nodes, "edges": n_edges})
 
 
-def _repl(args, alphabet: Alphabet) -> None:
+def _repl(args, alphabet: polymon.Alphabet) -> None:
     """Prints each answer as its line is read, so it returns nothing."""
     prompt = "> " if sys.stdin.isatty() else ""
     while True:
@@ -245,7 +235,7 @@ def _repl(args, alphabet: Alphabet) -> None:
         try:
             x = _element(line, alphabet)
             _emit(args, str(x), x.to_json())
-        except PolymonError as err:
+        except polymon.PolymonError as err:
             print(f"error: {err}", file=sys.stderr)
 
 
@@ -256,9 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         if answer is not None:
             _emit(args, *answer)
         return 0
-    except ExpressionSyntaxError as err:
+    except polymon.ExpressionSyntaxError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2
-    except (PolymonError, ValueError, OSError) as err:
+    except (polymon.PolymonError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

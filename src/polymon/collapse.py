@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .core import Alphabet, Element, NormalForm, _Value, mul_nf
-from .errors import AlphabetMismatch, EqualPair
+from .errors import AlphabetMismatch, EqualPair, UnknownLetter
 
 SEED = "seed"
 LEFT_MULTIPLY = "left-multiply"
@@ -73,7 +73,8 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
     one before; raise ValueError on the first step its rule does not give.
 
     A multiplication is replayed on bare pairs: the multiplier's alphabet
-    is checked against the pair's as ``Element.__mul__`` checks it, the
+    is checked against the pair's as ``Element.__mul__`` checks it, its
+    letters against its alphabet as ``check_word`` checks them, the
     expected pair is computed with ``mul_nf``, and it is compared with the
     step's ``(u, v)`` pairs and alphabets as ``==`` compares them.  The
     final pair is checked against (0, 1) the same way: no ``Element`` is
@@ -101,8 +102,8 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
                 ex, ey = mul_nf(m.u, m.v, px.u, px.v), mul_nf(m.u, m.v, py.u, py.v)
             else:
                 ex, ey = mul_nf(px.u, px.v, m.u, m.v), mul_nf(py.u, py.v, m.u, m.v)
-            # nor does a product across alphabets
-            ok = _over(px, ab) and _over(py, ab) and _is(sx, ab, ex) and _is(sy, ab, ey)
+            # nor does a product across alphabets, or by letters outside the multiplier's own
+            ok = _over(px, ab) and _over(py, ab) and _is(sx, ab, ex) and _is(sy, ab, ey) and _lettered(m)
         if not ok:
             raise ValueError(f"step {i}: {step.rule} does not replay")
     ab, (fx, fy) = d.steps[0].pair[0].alphabet, d.final_pair
@@ -113,6 +114,18 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
 def _over(e: Element, alphabet: Alphabet) -> bool:
     """Whether e is over alphabet, identity first, as ``Element`` checks it."""
     return e.alphabet is alphabet or e.alphabet == alphabet
+
+
+def _lettered(m: Element) -> bool:
+    """Whether every letter of m is a letter of its alphabet, by
+    ``check_word``: an ``Element`` built directly checks none."""
+    if m.u is None:
+        return True
+    try:
+        m.alphabet.check_word(m.u + m.v)
+    except UnknownLetter:
+        return False
+    return True
 
 
 def _is(e: Element, alphabet: Alphabet, nf: NormalForm) -> bool:

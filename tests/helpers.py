@@ -204,6 +204,8 @@ def verify_derivation_elements(d: Derivation, seed: Optional[Tuple[Element, Elem
             raise ValueError(f"step {i}: unknown rule {step.rule!r}")
         elif m is None:
             expected = None  # a multiplication without its multiplier never replays
+        elif m.u is not None and not all(letter in m.alphabet for letter in m.u + m.v):
+            expected = None  # nor does one by letters outside the multiplier's alphabet
         else:
             try:
                 expected = (m * px, m * py) if step.rule == LEFT_MULTIPLY else (px * m, py * m)

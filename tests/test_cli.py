@@ -493,6 +493,44 @@ def test_collapse_loads_the_collapse_module():
     assert out.splitlines()[-1] == "True"
 
 
+# what every call loads; parsing needs rewriting for reduce
+LOADED = {"polymon", "polymon.cli", "polymon.core", "polymon.errors"}
+PARSES = LOADED | {"polymon.parsing", "polymon.rewriting"}
+GREEN = {"polymon.green"}
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    """The ``polymon.*`` modules each subcommand loads in a fresh process,
+    and ``json`` only for ``--format json``."""
+    calls = [
+        (["eval", "a"], PARSES),
+        (["eval", "a", "--format", "json"], PARSES),
+        (["eval", "(a"], PARSES),
+        (["solve", "a", "b", "ab"], PARSES | GREEN),
+        (["downset", "ab"], PARSES),
+        (["rclass", "a'b"], PARSES | GREEN),
+        (["ball", "1"], LOADED | GREEN),
+        (["act", "a", "b"], PARSES | GREEN),
+        (["continuity", "a", "--exclude", "b"], PARSES | GREEN | {"polymon.topology"}),
+        (["witness", "a", "2"], PARSES | GREEN | {"polymon.topology"}),
+        (["collapse", "a'a", "1"], PARSES | {"polymon.collapse"}),
+        (["export-dot", "1", str(tmp_path / "x.dot")], LOADED | GREEN),
+        (["repl"], PARSES),
+    ]
+    for argv, modules in calls:
+        out = run_python("import io, sys\n"
+                         "before = set(sys.modules)\n"
+                         "from polymon.cli import main\n"
+                         "sys.stdin, sys.stdout = io.StringIO('a\\n'), io.StringIO()\n"
+                         f"code = main({argv!r})\n"
+                         "sys.stdout = sys.__stdout__\n"
+                         "print(code, ' '.join(sorted(set(sys.modules) - before)))")
+        code, *loaded = out.split()
+        assert code == ("2" if argv == ["eval", "(a"] else "0"), argv
+        assert {m for m in loaded if m.startswith("polymon")} == modules, argv
+        assert ("json" in loaded) == ("json" in argv), argv
+
+
 def test_ball_over_cap_exits_1(capsys, monkeypatch):
     for argv in (["ball", "16"], ["ball", str(10**30)]):
         code, out, err = run(capsys, *argv)

@@ -173,6 +173,12 @@ def test_alphabet_mismatch_rejected():
         A * generator(AB3, 0)
 
 
+def test_product_with_a_non_element_is_a_type_error():
+    # Element.__mul__ returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        A * 3
+
+
 @pytest.mark.parametrize("lam, radius", [(2, 3), (3, 2)])
 def test_mul_nf_matches_oracle_and_element_product(lam, radius):
     elems = list(ball(Alphabet(lam), radius))

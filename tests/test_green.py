@@ -300,3 +300,9 @@ def test_cayley_dot_shape():
     assert '[label="a"]' in dot and '[label="b"]' in dot
     # 6 ball members (0, 1, a, b, a', b') with 2 out-edges each
     assert dot.count("->") == 12
+
+
+def test_cayley_dot_needs_a_finite_alphabet():
+    inf = Alphabet(None)
+    with pytest.raises(InfiniteAlphabet):
+        cayley_dot(Ball(inf, 0, (zero(inf),)))

@@ -129,6 +129,11 @@ def test_oracle_multiplication_examples():
     assert mul_oracle(ZERO, A) == ZERO and mul_oracle(A, ZERO) == ZERO
 
 
+def test_oracle_rejects_a_product_across_alphabets():
+    with pytest.raises(AlphabetMismatch):
+        mul_oracle(A, generator(Alphabet(3), 0))
+
+
 @given(elements_st(3), elements_st(3))
 def test_oracle_matches_closed_form(x, y):
     assert mul_oracle(x, y) == x * y
@@ -497,6 +502,31 @@ def test_replay_across_alphabets_is_a_value_error(seed, step):
     with pytest.raises(ValueError) as exc:
         verify_derivation(d)
     assert str(exc.value) == f"step 1: {step[0]} does not replay"
+
+
+def test_replay_rejects_an_empty_derivation():
+    with pytest.raises(ValueError) as exc:
+        verify_derivation(Derivation(()))
+    assert str(exc.value) == "empty derivation"
+
+
+# Element checks no letters: c = g2 over two letters has c·a·c' = 0 and
+# c·c' = 1 as bare pairs, so these chains reach (0, 1) by multiplying
+# with a letter the alphabet does not have
+FOREIGN = Element(AB2, (), (2,))
+
+
+@pytest.mark.parametrize("steps", [
+    [(SEED, (A, ONE)), (LEFT_MULTIPLY, (FOREIGN * A, FOREIGN), FOREIGN),
+     (RIGHT_MULTIPLY, (ZERO, ONE), FOREIGN.inverse())],
+    [(SEED, (FOREIGN * A, FOREIGN)), (RIGHT_MULTIPLY, (ZERO, ONE), FOREIGN.inverse())],
+], ids=["left", "right"])
+def test_replay_rejects_a_multiplier_with_foreign_letters(steps):
+    d = Derivation(tuple(DerivationStep(*s) for s in steps))
+    for verify in (verify_derivation, verify_derivation_elements):
+        with pytest.raises(ValueError) as exc:
+            verify(d)
+        assert str(exc.value) == f"step 1: {steps[1][0]} does not replay", verify
 
 
 def test_replay_of_a_true_chain_checks_the_target():

@@ -83,6 +83,27 @@ MUTANTS = (
     Mutant("z avoids the last letter of t before that of s", "collapse.py",
            "(s or t)[-1] == 0", "(t or s)[-1] == 0",
            ("tests/test_cli.py::test_collapse_derivations",)),
+    Mutant("swap whenever the swapped chain is feasible", "collapse.py",
+           "moves = _moves(x, y)\n    if moves is None:\n        moves = _moves(y, x) + [(SYMMETRY, None)]",
+           "moves = _moves(y, x)\n    moves = _moves(x, y) if moves is None else moves + [(SYMMETRY, None)]",
+           (R + "test_collapse_is_shortest_over_a_larger_pool", "tests/test_cli.py::test_collapse_derivations",
+            "tests/test_acceptance.py::test_09_congruence_collapse")),
+    # the replay's letter check and four guards, each held by a test of its own
+    Mutant("the replay admits a multiplier's foreign letters", "collapse.py",
+           " and _lettered(m)\n", "\n",
+           (R + "test_replay_rejects_a_multiplier_with_foreign_letters",)),
+    Mutant("the replay admits an empty derivation", "collapse.py",
+           '    if not d.steps:\n        raise ValueError("empty derivation")\n', "",
+           (R + "test_replay_rejects_an_empty_derivation",)),
+    Mutant("a product with a non-element reads its alphabet", "core.py",
+           "        if not isinstance(other, Element):\n            return NotImplemented\n", "",
+           (C + "test_product_with_a_non_element_is_a_type_error",)),
+    Mutant("the oracle multiplies across alphabets", "rewriting.py",
+           '    if x.alphabet != y.alphabet:\n        raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")\n', "",
+           (R + "test_oracle_rejects_a_product_across_alphabets",)),
+    Mutant("DOT export over an infinite alphabet", "green.py",
+           '    if b.alphabet.size is None:\n        raise InfiniteAlphabet("DOT export needs a finite alphabet")\n', "",
+           ("tests/test_green.py::test_cayley_dot_needs_a_finite_alphabet",)),
     # letters: Alphabet.__contains__ defines them, and the inline checks agree
     Mutant("`in` rejects int subclasses", "core.py",
            "if not isinstance(letter, int) or type(letter) is bool or letter < 0:",
