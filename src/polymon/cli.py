@@ -160,27 +160,19 @@ def _continuity(args, alphabet: polymon.Alphabet) -> tuple:
     target = polymon.cofinite(alphabet, [_element(s, alphabet) for s in items])
     shrunk = polymon.shrink_neighborhood(a, target)
     bad = polymon.certify_translations(a, target, shrunk, args.radius)
-    trivial = a.is_zero
-    in_text, in_json = _element_list(target.excluded_sorted())
-    out_text, out_json = _element_list(shrunk.excluded_sorted())
-    text = "\n".join([
-        f"translation: {a}",
-        f"excluded input: {in_text or 'none'}",
-        f"excluded output: {out_text or 'none'}",
-        f"verified radius: {args.radius}",
-        "counterexamples: " + (", ".join(f"{x} ({side}: {prod})" for x, side, prod in bad) if bad else "none"),
-        f"trivial: {'yes' if trivial else 'no'}",
-    ])
-    return text, {
-        "translation": a.to_json(),
-        "excluded_input": in_json,
-        "excluded_output": out_json,
-        "verified_radius": args.radius,
-        "counterexamples": [
-            {"x": x.to_json(), "side": side, "product": prod.to_json()} for x, side, prod in bad
-        ],
-        "trivial": trivial,
-    }
+    # one row per line: (label, text, JSON value); an empty text reads "none",
+    # and the JSON key is the label with _ for spaces
+    rows = [
+        ("translation", str(a), a.to_json()),
+        ("excluded input", *_element_list(target.excluded_sorted())),
+        ("excluded output", *_element_list(shrunk.excluded_sorted())),
+        ("verified radius", str(args.radius), args.radius),
+        ("counterexamples", ", ".join(f"{x} ({side}: {prod})" for x, side, prod in bad),
+         [{"x": x.to_json(), "side": side, "product": prod.to_json()} for x, side, prod in bad]),
+        ("trivial", "yes" if a.is_zero else "no", a.is_zero),
+    ]
+    return ("\n".join(f"{label}: {text or 'none'}" for label, text, _ in rows),
+            {label.replace(" ", "_"): value for label, _, value in rows})
 
 
 def _witness(args, alphabet: polymon.Alphabet) -> tuple:

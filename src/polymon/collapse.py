@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import Alphabet, Element, NormalForm, _Value, mul_nf
+from .core import Element, NormalForm, _Value, mul_nf
 from .errors import AlphabetMismatch, EqualPair, UnknownLetter
 
 SEED = "seed"
@@ -72,13 +72,13 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
     """Replay a derivation with the closed-form product, each step from the
     one before; raise ValueError on the first step its rule does not give.
 
-    A multiplication is replayed on bare pairs: the multiplier's alphabet
-    is checked against the pair's as ``Element.__mul__`` checks it, its
-    letters against its alphabet as ``check_word`` checks them, the
-    expected pair is computed with ``mul_nf``, and it is compared with the
-    step's ``(u, v)`` pairs and alphabets as ``==`` compares them.  The
-    final pair is checked against (0, 1) the same way: no ``Element`` is
-    built for an expected pair."""
+    A multiplication is replayed on bare pairs: the alphabets of the
+    multiplier and of both pairs must be one object, as ``Element.__mul__``
+    and ``==`` require, the multiplier's letters are checked against its
+    alphabet as ``check_word`` checks them, and the expected pair is
+    computed with ``mul_nf`` and compared with the step's ``(u, v)`` pairs.
+    The final pair is checked against (0, 1) the same way: no ``Element``
+    is built for an expected pair."""
     if not d.steps:
         raise ValueError("empty derivation")
     first = d.steps[0]
@@ -103,17 +103,13 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
             else:
                 ex, ey = mul_nf(px.u, px.v, m.u, m.v), mul_nf(py.u, py.v, m.u, m.v)
             # nor does a product across alphabets, or by letters outside the multiplier's own
-            ok = _over(px, ab) and _over(py, ab) and _is(sx, ab, ex) and _is(sy, ab, ey) and _lettered(m)
+            ok = (px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is ab
+                  and ((sx.u, sx.v), (sy.u, sy.v)) == (ex, ey) and _lettered(m))
         if not ok:
             raise ValueError(f"step {i}: {step.rule} does not replay")
     ab, (fx, fy) = d.steps[0].pair[0].alphabet, d.final_pair
-    if not (_is(fx, ab, (None, None)) and _is(fy, ab, _ONE)):
+    if not (fx.alphabet is fy.alphabet is ab and ((fx.u, fx.v), (fy.u, fy.v)) == ((None, None), _ONE)):
         raise ValueError("derivation does not end at (0, 1)")
-
-
-def _over(e: Element, alphabet: Alphabet) -> bool:
-    """Whether e is over alphabet, identity first, as ``Element`` checks it."""
-    return e.alphabet is alphabet or e.alphabet == alphabet
 
 
 def _lettered(m: Element) -> bool:
@@ -126,11 +122,6 @@ def _lettered(m: Element) -> bool:
     except UnknownLetter:
         return False
     return True
-
-
-def _is(e: Element, alphabet: Alphabet, nf: NormalForm) -> bool:
-    """Whether e == Element(alphabet, *nf), without building the latter."""
-    return (e.u, e.v) == nf and _over(e, alphabet)
 
 
 Move = Tuple[str, Optional[NormalForm]]  # rule and bare multiplier, None for symmetry
@@ -185,7 +176,7 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
     """
     if max_depth < 0:
         raise ValueError(f"depth budget must be nonnegative, got {max_depth}")
-    if a.alphabet != b.alphabet:
+    if a.alphabet is not b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if a == b:
         raise EqualPair(f"seed must identify two distinct elements, got {a} twice")

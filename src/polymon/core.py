@@ -107,8 +107,19 @@ class _Value:
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
+_ALPHABETS: dict = {}  # size -> the one Alphabet of that size
+
+
 class Alphabet(_Value):
     """Generator alphabet; ``size=None`` means countably infinite.
+
+    ``Alphabet(size)`` returns the one alphabet of that size, so the
+    library compares alphabets with ``is`` and this constructor alone
+    decides whether two are the same; copy and pickle rebuild through it.
+    The size is stored as an exact int, so an int subclass such as an
+    ``IntEnum`` names the alphabet of the int it equals.  The cache holds
+    one alphabet per size a process names, and ``_Value``'s equality and
+    hash, by size, agree with identity.
 
     Sizes below 2 are rejected because the closed form of
     ``collapse_witness`` needs a second letter z, one that is not the
@@ -121,17 +132,17 @@ class Alphabet(_Value):
 
     __slots__ = _fields = ("size",)
 
-    def __init__(self, size: Optional[int] = None) -> None:
+    def __new__(cls, size: Optional[int] = None) -> "Alphabet":
         if size is not None and (not isinstance(size, int) or type(size) is bool):
             raise TypeError(f"alphabet size must be an int or None, got {size!r}")
         if size is not None and size < 2:
             raise TooFewGenerators(f"alphabet needs at least 2 letters, got {size}")
-        _set(self, "size", size)
+        made = object.__new__(cls)
+        _set(made, "size", None if size is None else int(size))
+        # only a finished alphabet is ever inserted, so racing callers share one
+        return _ALPHABETS.setdefault(made.size, made)
 
-    def __eq__(self, other):
-        return self.size == other.size if other.__class__ is self.__class__ else NotImplemented
-
-    __hash__ = _Value.__hash__  # a class that writes __eq__ is otherwise unhashable
+    __init__ = object.__init__  # __new__ has set the size; _Value.__init__ would set it again
 
     def __contains__(self, letter: int) -> bool:
         """Whether ``letter`` is a letter of this alphabet: an int that is
@@ -178,8 +189,8 @@ class Element(_Value):
     Instances are immutable and hashable, hashed as their normal form
     (u, v) alone; equality is structural on the normal form, which is
     unique, so it coincides with equality in the monoid, and it checks the
-    alphabet last.  Two elements over different alphabets with one normal
-    form share a hash and are unequal.  Direct construction skips letter
+    alphabet last, by identity.  Two elements over different alphabets with
+    one normal form share a hash and are unequal.  Direct construction skips letter
     validation; use the ``element``/``generator`` factories for unchecked input.
     """
 
@@ -195,7 +206,7 @@ class Element(_Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.u == other.u and self.v == other.v and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
+        return self.u == other.u and self.v == other.v and self.alphabet is other.alphabet
 
     def __hash__(self) -> int:
         return hash((self.u, self.v))
@@ -218,7 +229,7 @@ class Element(_Value):
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet:
             raise AlphabetMismatch(f"{self.alphabet} vs {other.alphabet}")
         u, v = mul_nf(self.u, self.v, other.u, other.v)
         return Element(self.alphabet, u, v)

@@ -12,7 +12,9 @@ class PolymonError(Exception):
 
 
 class TooFewGenerators(PolymonError):
-    """Alphabet size below 2; the structure degenerates there."""
+    """Alphabet size below 2.  P_1, the bicyclic monoid with zero, is well
+    defined; the limit is collapse's closed form, which needs a second
+    letter (ROADMAP item 4)."""
 
 
 class AlphabetMismatch(PolymonError):

@@ -44,7 +44,7 @@ def rclass_witness(x: Element, y: Element) -> Element:
     """An s with x*s = y for x, y in one nonzero R-class: s = (v_x, v_y)."""
     if x.is_zero or y.is_zero:
         raise ZeroArgument("witness needs nonzero elements")
-    if x.alphabet != y.alphabet:
+    if x.alphabet is not y.alphabet:
         raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")
     if x.u != y.u:
         raise KeyMismatch(f"{x} and {y} lie in different R-classes")
@@ -117,7 +117,7 @@ def solve_axb(a: Element, b: Element, c: Element) -> List[Element]:
     for e in (a, b, c):
         if e.is_zero:
             raise ZeroArgument("solver needs nonzero a, b, c; the solution set at c = 0 is infinite")
-    if not (a.alphabet == b.alphabet == c.alphabet):
+    if not (a.alphabet is b.alphabet is c.alphabet):
         raise AlphabetMismatch("solver arguments over different alphabets")
     # x' = (p, q) solves b'*x' = y' exactly when x = (q, p) solves x*b = y
     solutions = [Element(a.alphabet, q, p)

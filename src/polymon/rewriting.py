@@ -75,7 +75,7 @@ def reduce(alphabet: Alphabet, word: Iterable[int]) -> Element:
 def mul_oracle(x: Element, y: Element) -> Element:
     """Product recomputed from scratch by rewriting; never consults the
     closed form ``core.mul_nf``."""
-    if x.alphabet != y.alphabet:
+    if x.alphabet is not y.alphabet:
         raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")
     if x.is_zero or y.is_zero:
         return zero(x.alphabet)

@@ -57,7 +57,7 @@ class CofiniteNbhd(_Value):
         for f in excluded:
             if f.u is None:
                 raise ZeroArgument("Zero belongs to every neighborhood of Zero; it cannot be excluded")
-            if f.alphabet is not alphabet and f.alphabet != alphabet:
+            if f.alphabet is not alphabet:
                 raise AlphabetMismatch(f"excluded element {f} over a different alphabet")
             pairs.append((f.u, f.v))
         super().__init__(alphabet, frozenset(pairs))
@@ -99,7 +99,7 @@ def _preimages(a: Element, nbhd: CofiniteNbhd) -> FrozenSet[NormalForm]:
     with another a replaces it.  A shrink followed by its certificate
     solves once, and the slot holds at most one answer, no larger than
     the shrink's own result."""
-    if a.alphabet != nbhd.alphabet:
+    if a.alphabet is not nbhd.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {nbhd.alphabet}")
     if a.is_zero:
         return frozenset()
@@ -158,7 +158,7 @@ def certify_translations(a: Element, nbhd: CofiniteNbhd, shrunk: CofiniteNbhd, r
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if shrunk.alphabet != nbhd.alphabet:
+    if shrunk.alphabet is not nbhd.alphabet:
         raise AlphabetMismatch(f"{shrunk.alphabet} vs {nbhd.alphabet}")
     # candidates are nonzero, so x is in shrunk exactly when its pair is not in shrunk.pairs
     candidates = _preimages(a, nbhd) - shrunk.pairs

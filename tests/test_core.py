@@ -9,7 +9,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given
 
-from helpers import Letter, elements_of_size, elements_st, letter_probes, random_element
+from helpers import Letter, elements_of_size, elements_st, letter_probes, random_element, run_python
 from polymon import (
     Alphabet,
     AlphabetMismatch,
@@ -22,6 +22,7 @@ from polymon import (
     act,
     ball,
     cofinite,
+    collapse_witness,
     element,
     enumeration_key,
     generator,
@@ -397,3 +398,74 @@ def test_one_normal_form_over_two_alphabets_shares_a_hash_but_no_key():
 def test_alphabet_repr():
     assert repr(Alphabet(None)) == "Alphabet(size=None)"
     assert repr(Alphabet(3)) == "Alphabet(size=3)"
+
+
+# One alphabet object per size: the library compares alphabets with ``is``.
+@pytest.mark.parametrize("size, text", [(2, "2"), (3, "3"), (10**30, str(10**30)), (None, "inf")],
+                         ids=["2", "3", "10**30", "inf"])
+def test_one_alphabet_per_size(size, text):
+    assert Alphabet(size) is Alphabet(size)
+    assert make_alphabet(text) is Alphabet(size)
+    assert make_alphabet(size) is Alphabet(size)
+    assert Alphabet(size).size == size
+
+
+def _alphabets_of(value):
+    """Every alphabet object a value holds, in field order."""
+    if isinstance(value, Alphabet):
+        return [value]
+    if isinstance(value, Derivation):
+        return [e.alphabet for s in value.steps for e in (*s.pair, s.by) if e is not None]
+    return [value.alphabet]
+
+
+# One value of each class that holds an alphabet, and that alphabet.
+HOLDERS = {
+    "Alphabet": (AB3, AB3),
+    "Element": (element(AB3, (0,), (2,)), AB3),
+    "CofiniteNbhd": (cofinite(AB2, [A, B]), AB2),
+    "Derivation": (collapse_witness(A, B.inverse() * A), AB2),
+}
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_copies_and_pickles_keep_the_one_alphabet(name):
+    value, ab = HOLDERS[name]
+    for again in (value, copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                  pickle.loads(pickle.dumps(value, protocol=0))):
+        assert again == value
+        alphabets = _alphabets_of(again)
+        assert alphabets and all(x is ab for x in alphabets)
+
+
+def test_a_pickle_from_another_interpreter_loads_to_the_one_alphabet():
+    blob = run_python("import pickle, polymon\n"
+                      "ab = polymon.Alphabet(2)\n"
+                      "print(pickle.dumps((ab, polymon.generator(ab, 1))).hex())")
+    ab, b = pickle.loads(bytes.fromhex(blob.strip()))
+    assert ab is Alphabet(2) and b.alphabet is Alphabet(2) and b == B
+
+
+def test_an_int_subclass_size_names_the_alphabet_of_its_int():
+    class Size(enum.IntEnum):
+        TWO = 2
+        HUGE = 10**20
+
+    for size in Size:
+        ab = Alphabet(size)
+        assert type(ab.size) is int and ab.size == size
+        assert ab is Alphabet(int(size)) and repr(ab) == f"Alphabet(size={int(size)})"
+    assert Alphabet(Letter(3)) is AB3 and type(AB3.size) is int
+
+
+def test_rejected_sizes_keep_their_exceptions_and_messages():
+    for bad in (1, 0, -3, Letter(1)):
+        for _ in range(2):  # a rejected size is never cached
+            with pytest.raises(TooFewGenerators) as exc:
+                Alphabet(bad)
+            assert str(exc.value) == f"alphabet needs at least 2 letters, got {bad}"
+    for bad in (2.5, 3.0, "3", True, False, b"3"):
+        with pytest.raises(TypeError) as exc:
+            Alphabet(bad)
+        assert str(exc.value) == f"alphabet size must be an int or None, got {bad!r}"
+    assert Alphabet(2) is AB2 and Alphabet(2).size == 2

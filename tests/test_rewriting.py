@@ -529,6 +529,27 @@ def test_replay_rejects_a_multiplier_with_foreign_letters(steps):
         assert str(exc.value) == f"step 1: {steps[1][0]} does not replay", verify
 
 
+# a true chain with one multiplier or one pair component moved to another
+# alphabet: the bare pairs still replay, so only the alphabet check fails it
+@pytest.mark.parametrize("part", ["by", "first", "second"])
+def test_replay_rejects_a_step_over_another_alphabet_with_the_same_pairs(part):
+    d = collapse_witness(A, B.inverse() * A)
+    verify_derivation(d)
+    for i in range(1, len(d.steps)):
+        s = d.steps[i]
+        if s.by is None:
+            continue
+        x, y = s.pair
+        moved = {"by": (s.pair, Element(Alphabet(3), s.by.u, s.by.v)),
+                 "first": ((Element(Alphabet(3), x.u, x.v), y), s.by),
+                 "second": ((x, Element(Alphabet(3), y.u, y.v)), s.by)}[part]
+        forged = Derivation(d.steps[:i] + (DerivationStep(s.rule, *moved),) + d.steps[i + 1:])
+        for verify in (verify_derivation, verify_derivation_elements):
+            with pytest.raises(ValueError) as exc:
+                verify(forged)
+            assert str(exc.value) == f"step {i}: {s.rule} does not replay", verify
+
+
 def test_replay_of_a_true_chain_checks_the_target():
     # each step replays from the one before, but the chain ends at (A, 0)
     with pytest.raises(ValueError) as exc:

@@ -90,7 +90,7 @@ MUTANTS = (
             "tests/test_acceptance.py::test_09_congruence_collapse")),
     # the replay's letter check and four guards, each held by a test of its own
     Mutant("the replay admits a multiplier's foreign letters", "collapse.py",
-           " and _lettered(m)\n", "\n",
+           " and _lettered(m))\n", ")\n",
            (R + "test_replay_rejects_a_multiplier_with_foreign_letters",)),
     Mutant("the replay admits an empty derivation", "collapse.py",
            '    if not d.steps:\n        raise ValueError("empty derivation")\n', "",
@@ -99,11 +99,25 @@ MUTANTS = (
            "        if not isinstance(other, Element):\n            return NotImplemented\n", "",
            (C + "test_product_with_a_non_element_is_a_type_error",)),
     Mutant("the oracle multiplies across alphabets", "rewriting.py",
-           '    if x.alphabet != y.alphabet:\n        raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")\n', "",
+           '    if x.alphabet is not y.alphabet:\n'
+           '        raise AlphabetMismatch(f"{x.alphabet} vs {y.alphabet}")\n', "",
            (R + "test_oracle_rejects_a_product_across_alphabets",)),
     Mutant("DOT export over an infinite alphabet", "green.py",
            '    if b.alphabet.size is None:\n        raise InfiniteAlphabet("DOT export needs a finite alphabet")\n', "",
            ("tests/test_green.py::test_cayley_dot_needs_a_finite_alphabet",)),
+    # alphabets: one object per size, so sameness is identity
+    Mutant("each call makes a fresh alphabet", "core.py",
+           "return _ALPHABETS.setdefault(made.size, made)", "return made",
+           (C + "test_one_alphabet_per_size", C + "test_copies_and_pickles_keep_the_one_alphabet",
+            C + "test_a_pickle_from_another_interpreter_loads_to_the_one_alphabet")),
+    Mutant("element equality ignores the alphabet", "core.py",
+           " and self.alphabet is other.alphabet\n", "\n",
+           (C + "test_element_equality_needs_an_element_over_an_equal_alphabet",
+            C + "test_one_normal_form_over_two_alphabets_shares_a_hash_but_no_key")),
+    Mutant("the replay ignores a step's alphabet", "collapse.py",
+           "ok = (px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is ab\n                  and ", "ok = (",
+           (R + "test_replay_rejects_a_step_over_another_alphabet_with_the_same_pairs",
+            R + "test_replay_agrees_with_the_element_replay")),
     # letters: Alphabet.__contains__ defines them, and the inline checks agree
     Mutant("`in` rejects int subclasses", "core.py",
            "if not isinstance(letter, int) or type(letter) is bool or letter < 0:",
