@@ -9,7 +9,8 @@ the one before by a left or right multiplication or a swap.
 size, in closed form: it has at most three steps.  A depth budget below
 its length is a legal outcome, reported as None, never as an error.
 ``verify_derivation`` replays a chain on the bare pairs of its
-``Element``s, through ``core.mul_nf``.  The test suite keeps one
+``Element``s.  Both compute a multiplication's bare pair with one
+function, ``_derive``, through ``core.mul_nf``.  The test suite keeps one
 oracle for each: a replay that multiplies ``Element``s, and a
 minimality search that tries every shorter chain with multipliers from
 a larger ball and finds none.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .core import Element, NormalForm, _Value, mul_nf
-from .errors import AlphabetMismatch, EqualPair, UnknownLetter
+from .errors import AlphabetMismatch, EqualPair
 
 SEED = "seed"
 LEFT_MULTIPLY = "left-multiply"
@@ -72,11 +73,12 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
     """Replay a derivation with the closed-form product, each step from the
     one before; raise ValueError on the first step its rule does not give.
 
-    A multiplication is replayed on bare pairs: the alphabets of the
+    A multiplication is replayed on bare pairs: the expected pair is
+    computed by ``_derive``, as ``collapse_witness`` computes it, and
+    compared with the step's ``(u, v)`` pairs; the alphabets of the
     multiplier and of both pairs must be one object, as ``Element.__mul__``
-    and ``==`` require, the multiplier's letters are checked against its
-    alphabet as ``check_word`` checks them, and the expected pair is
-    computed with ``mul_nf`` and compared with the step's ``(u, v)`` pairs.
+    and ``==`` require; and each letter of the multiplier must be in its
+    alphabet by ``Alphabet.__contains__``, the definition of a letter.
     The final pair is checked against (0, 1) the same way: no ``Element``
     is built for an expected pair."""
     if not d.steps:
@@ -94,17 +96,13 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
             ok = step.pair == (py, px)
         elif step.rule not in (LEFT_MULTIPLY, RIGHT_MULTIPLY):
             raise ValueError(f"step {i}: unknown rule {step.rule!r}")
-        elif m is None:
-            ok = False  # a multiplication without its multiplier never replays
         else:
-            ab, (sx, sy) = m.alphabet, step.pair
-            if step.rule == LEFT_MULTIPLY:
-                ex, ey = mul_nf(m.u, m.v, px.u, px.v), mul_nf(m.u, m.v, py.u, py.v)
-            else:
-                ex, ey = mul_nf(px.u, px.v, m.u, m.v), mul_nf(py.u, py.v, m.u, m.v)
-            # nor does a product across alphabets, or by letters outside the multiplier's own
-            ok = (px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is ab
-                  and ((sx.u, sx.v), (sy.u, sy.v)) == (ex, ey) and _lettered(m))
+            sx, sy = step.pair
+            # a multiplication never replays without its multiplier, across
+            # alphabets, or by letters outside the multiplier's own
+            ok = (m is not None and ((sx.u, sx.v), (sy.u, sy.v)) == _derive(step.rule, m, px, py)
+                  and px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is m.alphabet
+                  and (m.u is None or all(map(m.alphabet.__contains__, m.u + m.v))))
         if not ok:
             raise ValueError(f"step {i}: {step.rule} does not replay")
     ab, (fx, fy) = d.steps[0].pair[0].alphabet, d.final_pair
@@ -112,16 +110,14 @@ def verify_derivation(d: Derivation, seed: Optional[Tuple[Element, Element]] = N
         raise ValueError("derivation does not end at (0, 1)")
 
 
-def _lettered(m: Element) -> bool:
-    """Whether every letter of m is a letter of its alphabet, by
-    ``check_word``: an ``Element`` built directly checks none."""
-    if m.u is None:
-        return True
-    try:
-        m.alphabet.check_word(m.u + m.v)
-    except UnknownLetter:
-        return False
-    return True
+def _derive(rule: str, m: Optional[Element], x: Element, y: Element) -> Tuple[NormalForm, NormalForm]:
+    """The bare pair one step by ``rule`` derives from (x, y): a left or a
+    right multiplication by m through ``mul_nf``, or a swap."""
+    if rule == LEFT_MULTIPLY:
+        return mul_nf(m.u, m.v, x.u, x.v), mul_nf(m.u, m.v, y.u, y.v)
+    if rule == RIGHT_MULTIPLY:
+        return mul_nf(x.u, x.v, m.u, m.v), mul_nf(y.u, y.v, m.u, m.v)
+    return (y.u, y.v), (x.u, x.v)
 
 
 Move = Tuple[str, Optional[NormalForm]]  # rule and bare multiplier, None for symmetry
@@ -186,17 +182,12 @@ def collapse_witness(a: Element, b: Element, max_depth: int = 8) -> Optional[Der
         moves = _moves(y, x) + [(SYMMETRY, None)]
     if len(moves) > max_depth:
         return None
-    ab, pair = a.alphabet, (x, y)
+    ab = a.alphabet
     steps = [DerivationStep(SEED, (a, b))]
     for rule, m in moves:
-        if rule == LEFT_MULTIPLY:
-            pair = (mul_nf(*m, *pair[0]), mul_nf(*m, *pair[1]))
-        elif rule == RIGHT_MULTIPLY:
-            pair = (mul_nf(*pair[0], *m), mul_nf(*pair[1], *m))
-        else:
-            pair = pair[::-1]
         by = None if m is None else Element(ab, *m)
-        steps.append(DerivationStep(rule, (Element(ab, *pair[0]), Element(ab, *pair[1])), by=by))
+        nx, ny = _derive(rule, by, *steps[-1].pair)
+        steps.append(DerivationStep(rule, (Element(ab, *nx), Element(ab, *ny)), by=by))
     return Derivation(tuple(steps))
 
 

@@ -147,9 +147,10 @@ class Alphabet(_Value):
     def __contains__(self, letter: int) -> bool:
         """Whether ``letter`` is a letter of this alphabet: an int that is
         not a bool (int subclasses such as an ``IntEnum`` count), at least 0
-        and below the size.  This is the definition of a letter; the inline
-        tests of ``check_word`` and ``rewriting.reduce`` must agree with it,
-        and the tests hold them to it."""
+        and below the size.  This is the definition of a letter, which
+        ``collapse.verify_derivation`` calls on each letter of a multiplier;
+        the inline tests of ``check_word`` and ``rewriting.reduce`` must
+        agree with it, and the tests hold them to it."""
         if not isinstance(letter, int) or type(letter) is bool or letter < 0:
             return False
         return self.size is None or letter < self.size

@@ -487,21 +487,30 @@ def test_replay_rejects_each_forged_step(step, message):
 
 
 C3 = generator(Alphabet(3), 2)
+B3 = generator(Alphabet(3), 1)
 
 
 # a multiplier or a seed component over another alphabet does not replay
-# either; the product would raise AlphabetMismatch
+# either; the product would raise AlphabetMismatch.  The first four rows
+# also differ from the replay on bare pairs; the last four match it on
+# bare pairs, so only the alphabet check rejects them
 @pytest.mark.parametrize("seed, step", [
     ((ZERO, A), (LEFT_MULTIPLY, (ZERO, ZERO), C3)),
     ((ZERO, A), (RIGHT_MULTIPLY, (ZERO, ZERO), C3)),
     ((ZERO, C3), (LEFT_MULTIPLY, (ZERO, ZERO), ONE)),
     ((ZERO, C3), (RIGHT_MULTIPLY, (ZERO, ZERO), ONE)),
-], ids=["left-by", "right-by", "left-seed", "right-seed"])
+    ((ZERO, A), (LEFT_MULTIPLY, (ZERO, B * A), B3)),
+    ((ZERO, A), (RIGHT_MULTIPLY, (ZERO, A * B), B3)),
+    ((ZERO, B3), (LEFT_MULTIPLY, (ZERO, B), ONE)),
+    ((ZERO, B3), (RIGHT_MULTIPLY, (ZERO, B), ONE)),
+], ids=["left-by", "right-by", "left-seed", "right-seed",
+        "left-by-same-pairs", "right-by-same-pairs", "left-seed-same-pairs", "right-seed-same-pairs"])
 def test_replay_across_alphabets_is_a_value_error(seed, step):
     d = Derivation((DerivationStep(SEED, seed), DerivationStep(*step)))
-    with pytest.raises(ValueError) as exc:
-        verify_derivation(d)
-    assert str(exc.value) == f"step 1: {step[0]} does not replay"
+    for verify in (verify_derivation, verify_derivation_elements):
+        with pytest.raises(ValueError) as exc:
+            verify(d)
+        assert str(exc.value) == f"step 1: {step[0]} does not replay", verify
 
 
 def test_replay_rejects_an_empty_derivation():
@@ -511,22 +520,35 @@ def test_replay_rejects_an_empty_derivation():
 
 
 # Element checks no letters: c = g2 over two letters has c·a·c' = 0 and
-# c·c' = 1 as bare pairs, so these chains reach (0, 1) by multiplying
-# with a letter the alphabet does not have
+# c·c' = 1 as bare pairs, so the first two chains reach (0, 1) by
+# multiplying with a letter the alphabet does not have.  In the others a
+# multiplier m whose letter is no letter at all takes (0, 1) to (0, m) on
+# bare pairs; an unchecked True would replay as the letter b
 FOREIGN = Element(AB2, (), (2,))
+NO_LETTERS = {str(x): Element(AB2, (), (x,)) for x in (True, -1, "a")}
 
 
 @pytest.mark.parametrize("steps", [
     [(SEED, (A, ONE)), (LEFT_MULTIPLY, (FOREIGN * A, FOREIGN), FOREIGN),
      (RIGHT_MULTIPLY, (ZERO, ONE), FOREIGN.inverse())],
     [(SEED, (FOREIGN * A, FOREIGN)), (RIGHT_MULTIPLY, (ZERO, ONE), FOREIGN.inverse())],
-], ids=["left", "right"])
+    *([(SEED, (ZERO, ONE)), (LEFT_MULTIPLY, (ZERO, m), m)] for m in NO_LETTERS.values()),
+], ids=["left", "right", *NO_LETTERS])
 def test_replay_rejects_a_multiplier_with_foreign_letters(steps):
     d = Derivation(tuple(DerivationStep(*s) for s in steps))
     for verify in (verify_derivation, verify_derivation_elements):
         with pytest.raises(ValueError) as exc:
             verify(d)
         assert str(exc.value) == f"step 1: {steps[1][0]} does not replay", verify
+
+
+def test_a_zero_multiplier_has_no_letters_to_check():
+    # the step replays, so the chain fails only at its target
+    d = Derivation((DerivationStep(SEED, (A, ONE)), DerivationStep(LEFT_MULTIPLY, (ZERO, ZERO), ZERO)))
+    for verify in (verify_derivation, verify_derivation_elements):
+        with pytest.raises(ValueError) as exc:
+            verify(d)
+        assert str(exc.value) == "derivation does not end at (0, 1)", verify
 
 
 # a true chain with one multiplier or one pair component moved to another

@@ -88,10 +88,23 @@ MUTANTS = (
            "moves = _moves(y, x)\n    moves = _moves(x, y) if moves is None else moves + [(SYMMETRY, None)]",
            (R + "test_collapse_is_shortest_over_a_larger_pool", "tests/test_cli.py::test_collapse_derivations",
             "tests/test_acceptance.py::test_09_congruence_collapse")),
-    # the replay's letter check and four guards, each held by a test of its own
+    # one step rule for the witness and the replay
+    Mutant("the left step multiplies y on the right", "collapse.py",
+           "mul_nf(m.u, m.v, y.u, y.v)", "mul_nf(y.u, y.v, m.u, m.v)",
+           (R + "test_replay_agrees_with_the_element_replay", "tests/test_cli.py::test_collapse_derivations",
+            "tests/test_acceptance.py::test_09_congruence_collapse")),
+    Mutant("the swap returns (x, y)", "collapse.py",
+           "    return (y.u, y.v), (x.u, x.v)\n", "    return (x.u, x.v), (y.u, y.v)\n",
+           (R + "test_collapse_zero_seeds", R + "test_collapse_long_pairs_take_at_most_three_steps",
+            "tests/test_cli.py::test_collapse_derivations")),
+    # the replay's letter checks and four guards, each held by a test of its own
     Mutant("the replay admits a multiplier's foreign letters", "collapse.py",
-           " and _lettered(m))\n", ")\n",
+           "\n                  and (m.u is None or all(map(m.alphabet.__contains__, m.u + m.v)))", "",
            (R + "test_replay_rejects_a_multiplier_with_foreign_letters",)),
+    Mutant("the replay reads a zero multiplier's letters", "collapse.py",
+           "(m.u is None or all(map(m.alphabet.__contains__, m.u + m.v)))",
+           "all(map(m.alphabet.__contains__, m.u + m.v))",
+           (R + "test_a_zero_multiplier_has_no_letters_to_check",)),
     Mutant("the replay admits an empty derivation", "collapse.py",
            '    if not d.steps:\n        raise ValueError("empty derivation")\n', "",
            (R + "test_replay_rejects_an_empty_derivation",)),
@@ -115,9 +128,9 @@ MUTANTS = (
            (C + "test_element_equality_needs_an_element_over_an_equal_alphabet",
             C + "test_one_normal_form_over_two_alphabets_shares_a_hash_but_no_key")),
     Mutant("the replay ignores a step's alphabet", "collapse.py",
-           "ok = (px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is ab\n                  and ", "ok = (",
+           "\n                  and px.alphabet is py.alphabet is sx.alphabet is sy.alphabet is m.alphabet", "",
            (R + "test_replay_rejects_a_step_over_another_alphabet_with_the_same_pairs",
-            R + "test_replay_agrees_with_the_element_replay")),
+            R + "test_replay_agrees_with_the_element_replay", R + "test_replay_across_alphabets_is_a_value_error")),
     # letters: Alphabet.__contains__ defines them, and the inline checks agree
     Mutant("`in` rejects int subclasses", "core.py",
            "if not isinstance(letter, int) or type(letter) is bool or letter < 0:",
